@@ -11,7 +11,8 @@
 //!       [path] [degree] [min-speedup]
 //!   ```
 //!
-//!   Defaults: `BENCH_overlap.json`, degree 4, 1.2x.
+//!   Defaults: `BENCH_overlap.json`, degree 4, 1.2x. The report's wire
+//!   calibration must also put modelled comm/compute in 0.8..1.25.
 //!
 //! * `--fullstep` — reads the report `fullstep` writes and enforces the
 //!   whole-step contract: the best degree beats serial by the best-floor,
@@ -24,7 +25,8 @@
 //!       --fullstep [path] [best-floor] [per-degree-floor]
 //!   ```
 //!
-//!   Defaults: `BENCH_fullstep.json`, 1.6x, 1.0x.
+//!   Defaults: `BENCH_fullstep.json`, 1.6x, 1.0x. As in the default mode,
+//!   the wire calibration must put modelled comm/compute in 0.8..1.25.
 //!
 //! * `--partition` — reads the report the `partition` campaign writes
 //!   and enforces the quorum contract per scenario: enough ranks parked,
@@ -80,6 +82,30 @@ fn load(path: &str, producer: &str) -> Json {
     json::parse(&raw).unwrap_or_else(|e| panic!("{path} is not valid JSON: {e}"))
 }
 
+/// The comm/compute band a pipelining bench's calibrated wire must land
+/// in: outside it, the bench no longer measures the regime its floors
+/// were set for.
+const CALIBRATION_BAND: (f64, f64) = (0.8, 1.25);
+
+/// Checks the report's wire calibration; returns whether it passed.
+fn calibration_ok(doc: &Json, path: &str) -> bool {
+    let ratio = doc
+        .get("calibration")
+        .and_then(|c| c.get("comm_compute_ratio"))
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("{path} has no calibration.comm_compute_ratio"));
+    let (lo, hi) = CALIBRATION_BAND;
+    let ok = (lo..=hi).contains(&ratio);
+    println!(
+        "calibration: modelled comm/compute {ratio:.3} (band {lo:.2}..{hi:.2}) {}",
+        if ok { "ok" } else { "FAIL" }
+    );
+    if !ok {
+        eprintln!("FAIL: comm/compute {ratio:.3} is outside {lo:.2}..{hi:.2}");
+    }
+    ok
+}
+
 fn forward_gate(mut args: impl Iterator<Item = String>) {
     let path = args.next().unwrap_or_else(|| "BENCH_overlap.json".into());
     let degree: f64 = args.next().map_or(4.0, |a| a.parse().expect("degree"));
@@ -108,8 +134,12 @@ fn forward_gate(mut args: impl Iterator<Item = String>) {
         "bench gate: degree {degree} forward {ms:.1} ms vs serial {serial_ms:.1} ms \
          -> {speedup:.3}x (floor {floor:.2}x)"
     );
+    let mut failed = !calibration_ok(&doc, &path);
     if speedup < floor {
         eprintln!("FAIL: speedup {speedup:.3}x is below the {floor:.2}x floor");
+        failed = true;
+    }
+    if failed {
         std::process::exit(1);
     }
     println!("PASS");
@@ -127,7 +157,7 @@ fn fullstep_gate(mut args: impl Iterator<Item = String>) {
         .get("degrees")
         .and_then(Json::as_array)
         .expect("report has a degrees array");
-    let mut failed = false;
+    let mut failed = !calibration_ok(&doc, &path);
     let mut best = f64::NEG_INFINITY;
     for entry in degrees {
         let r = entry.get("r").and_then(Json::as_f64).expect("degree has r");

@@ -12,12 +12,18 @@
 //! measured spans, and re-chooses `r` — the choice is compared against
 //! the measured oracle.
 //!
+//! The wire is not fixed: before timing, serial steps on an unshaped
+//! wire measure the host's compute and the step's traffic, and the wire's
+//! latency and per-byte cost are scaled together until modelled comm
+//! equals measured compute (see [`WireCalibration`]).
+//!
 //! Output is machine-readable `BENCH_*` lines plus a human table, and a
 //! `BENCH_fullstep.json` report consumed by CI's full-step bench gate.
 
 use std::time::{Duration, Instant};
 
 use schemoe::AdaptiveScheMoe;
+use schemoe_bench::WireCalibration;
 use schemoe_cluster::{Fabric, Topology, WireModel};
 use schemoe_collectives::NcclA2A;
 use schemoe_compression::NoCompression;
@@ -97,22 +103,26 @@ fn measure(topo: Topology, wire: WireModel, x: &Tensor, degree: usize) -> (f64, 
 fn main() {
     let topo = Topology::new(1, 4);
     let p = topo.world_size();
-    // Wire chosen so each pass's comm is on the order of its compute (the
-    // regime pipelining targets): the forward's two A2As balance the
-    // expert forward, and the backward's A2As plus the replicated-grad
-    // allreduce balance the recompute+backward.
-    let wire = WireModel {
+    // The wire is sized from a measured serial step so each step's comm
+    // equals its compute (the regime pipelining targets): the forward's two
+    // A2As balance the expert forward, and the backward's A2As plus the
+    // replicated-grad allreduce balance the recompute+backward. The base
+    // fixes only the latency : per-byte mix.
+    let base = WireModel {
         latency: Duration::from_micros(200),
         bytes_per_sec: 5e6,
     };
     let x_global = rng::uniform(&[N_LOCAL * p, M], 1.0, &mut seeded(7));
+    let cal = WireCalibration::measure(base, |wire| run_once(topo, wire, &x_global, 1).0);
+    let wire = cal.wire;
 
     println!(
         "fullstep: {p} ranks, {N_LOCAL} tokens/rank, M={M}, H={H}, k={K}, \
-         f={CAPACITY}, {REPLICATED} replicated grads, wire {:.0} MB/s + {:?}/msg\n",
+         f={CAPACITY}, {REPLICATED} replicated grads, wire {:.2} MB/s + {:?}/msg",
         wire.bytes_per_sec / 1e6,
         wire.latency,
     );
+    println!("{}\n", cal.describe());
 
     let degrees = [1usize, 2, 4, 8];
     let (serial_ms, serial_out) = measure(topo, wire, &x_global, 1);
@@ -197,8 +207,9 @@ fn main() {
         "{{\"bench\":\"fullstep\",\"ranks\":{p},\"tokens_per_rank\":{N_LOCAL},\
          \"serial_ms\":{serial_ms:.3},\"degrees\":[{}],\
          \"chosen_r\":{chosen},\"oracle_r\":{oracle},\
-         \"chooser_regret\":{regret:.4}}}\n",
-        degree_json.join(",")
+         \"chooser_regret\":{regret:.4},\"calibration\":{}}}\n",
+        degree_json.join(","),
+        cal.json(),
     );
     let path = "BENCH_fullstep.json";
     std::fs::write(path, &report).expect("write BENCH_fullstep.json");

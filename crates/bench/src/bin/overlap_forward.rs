@@ -8,6 +8,11 @@
 //! run hides transfer time behind expert compute — the same mechanism the
 //! paper's Fig. 3 pipeline exploits on real NICs.
 //!
+//! The wire is not fixed: before timing, serial forwards on an unshaped
+//! wire measure the host's compute and the layer's traffic, and
+//! the wire's latency and per-byte cost are scaled together until modelled
+//! comm equals measured compute (see [`WireCalibration`]).
+//!
 //! Output is machine-readable `BENCH_*` lines plus a human table, and a
 //! `BENCH_overlap.json` report (per-degree speedups, per-phase time
 //! breakdown from an instrumented extra run, and fabric byte counts) that
@@ -15,6 +20,7 @@
 
 use std::time::{Duration, Instant};
 
+use schemoe_bench::WireCalibration;
 use schemoe_cluster::{Fabric, Topology, WireModel};
 use schemoe_collectives::NcclA2A;
 use schemoe_compression::NoCompression;
@@ -147,20 +153,24 @@ fn json_degree(r: usize, ms: f64, speedup: f64, i: &Instrumented) -> String {
 fn main() {
     let topo = Topology::new(1, 4);
     let p = topo.world_size();
-    // ~10 MB/s + 200 µs/message: sized so one layer's wire time is of the
-    // same order as its expert compute, the regime pipelining targets.
-    let wire = WireModel {
+    // The wire is sized from a measured serial forward so one layer's wire
+    // time equals its expert compute, the regime pipelining targets. The
+    // base fixes only the latency : per-byte mix.
+    let base = WireModel {
         latency: Duration::from_micros(200),
         bytes_per_sec: 10e6,
     };
     let x_global = rng::uniform(&[N_LOCAL * p, M], 1.0, &mut seeded(7));
+    let cal = WireCalibration::measure(base, |wire| run_once(topo, wire, &x_global, 1).0);
+    let wire = cal.wire;
 
     println!(
         "overlap_forward: {p} ranks, {N_LOCAL} tokens/rank, M={M}, H={H}, \
-         k={K}, f={CAPACITY}, wire {:.0} MB/s + {:?}/msg\n",
+         k={K}, f={CAPACITY}, wire {:.2} MB/s + {:?}/msg",
         wire.bytes_per_sec / 1e6,
         wire.latency,
     );
+    println!("{}\n", cal.describe());
 
     let (serial_ms, serial_out) = measure(topo, wire, &x_global, 1);
     println!("{:>10} {:>12}", "degree", "fwd ms");
@@ -185,8 +195,9 @@ fn main() {
 
     let report = format!(
         "{{\"bench\":\"overlap_forward\",\"ranks\":{p},\"tokens_per_rank\":{N_LOCAL},\
-         \"serial_ms\":{serial_ms:.3},\"degrees\":[{}]}}\n",
-        degree_json.join(",")
+         \"serial_ms\":{serial_ms:.3},\"degrees\":[{}],\"calibration\":{}}}\n",
+        degree_json.join(","),
+        cal.json(),
     );
     let path = "BENCH_overlap.json";
     std::fs::write(path, &report).expect("write BENCH_overlap.json");

@@ -22,7 +22,10 @@
 //!
 //! Criterion micro-benchmarks of the hot paths live in `benches/`.
 
+use std::time::Duration;
+
 use schemoe::prelude::*;
+use schemoe_cluster::WireModel;
 use schemoe_netsim::cost::LinkModel;
 use schemoe_tensor::rng::seeded;
 
@@ -136,6 +139,102 @@ pub fn sweep_config_fits(shape: &LayerShape, topo: &Topology, hw: &HardwareProfi
     budget.add("a2a buffers", 2 * shape.a2a_bytes());
     budget.add("framework reserve", 1 << 30);
     budget.fits()
+}
+
+/// A pipelining bench's wire, sized from one measured serial step so the
+/// step's modelled communication equals its measured compute: the regime
+/// pipelining targets, whatever the host's GEMM speed.
+#[derive(Debug, Clone, Copy)]
+pub struct WireCalibration {
+    /// Wall-clock ms of the serial step on an unshaped wire.
+    pub compute_ms: f64,
+    /// Bytes the busiest rank sends per step.
+    pub bytes: u64,
+    /// Messages the busiest rank sends per step.
+    pub msgs: u64,
+    /// The chosen wire: the base latency and per-byte cost, both scaled by
+    /// one common factor.
+    pub wire: WireModel,
+}
+
+impl WireCalibration {
+    /// Measures a serial step through `step` (which runs one step on the
+    /// given wire and returns its wall-clock ms) and scales `base` to fit.
+    ///
+    /// One step with the recorder on counts each rank's traffic and warms
+    /// up; compute is the best of the next three, with it off (the same
+    /// best-of-3 the benches time with). The rank with the most modelled
+    /// wire time sets the comm side: its sends bound the step.
+    pub fn measure(base: WireModel, mut step: impl FnMut(WireModel) -> f64) -> Self {
+        let unshaped = WireModel {
+            latency: Duration::ZERO,
+            bytes_per_sec: f64::INFINITY,
+        };
+        schemoe_obs::reset_counters();
+        let _ = schemoe_obs::take();
+        schemoe_obs::enable();
+        step(unshaped);
+        let trace = schemoe_obs::take();
+        schemoe_obs::disable();
+        let compute_ms = (0..3).map(|_| step(unshaped)).fold(f64::INFINITY, f64::min);
+        let mut cal = trace
+            .counters
+            .iter()
+            .map(|c| WireCalibration {
+                compute_ms,
+                bytes: c.bytes_sent,
+                msgs: c.msgs_sent,
+                wire: base,
+            })
+            .max_by(|a, b| a.comm_ms().total_cmp(&b.comm_ms()))
+            .expect("the step recorded its ranks' counters");
+        let scale = compute_ms / cal.comm_ms();
+        cal.wire = WireModel {
+            latency: base.latency.mul_f64(scale),
+            bytes_per_sec: base.bytes_per_sec / scale,
+        };
+        cal
+    }
+
+    /// Modelled wire time of the busiest rank's step traffic, in ms.
+    pub fn comm_ms(&self) -> f64 {
+        1e3 * (self.msgs as f64 * self.wire.latency.as_secs_f64()
+            + self.bytes as f64 / self.wire.bytes_per_sec)
+    }
+
+    /// Modelled comm over measured compute (1 when calibrated).
+    pub fn ratio(&self) -> f64 {
+        self.comm_ms() / self.compute_ms
+    }
+
+    /// One human-readable line.
+    pub fn describe(&self) -> String {
+        format!(
+            "calibration: serial compute {:.1} ms; busiest rank sends {} bytes in {} msgs \
+             -> modelled comm {:.1} ms (comm/compute {:.3})",
+            self.compute_ms,
+            self.bytes,
+            self.msgs,
+            self.comm_ms(),
+            self.ratio(),
+        )
+    }
+
+    /// The calibration as a JSON object, for the bench reports.
+    pub fn json(&self) -> String {
+        format!(
+            "{{\"compute_ms\":{:.3},\"bytes\":{},\"msgs\":{},\
+             \"wire_latency_us\":{:.1},\"wire_mb_per_s\":{:.3},\"comm_ms\":{:.3},\
+             \"comm_compute_ratio\":{:.4}}}",
+            self.compute_ms,
+            self.bytes,
+            self.msgs,
+            self.wire.latency.as_secs_f64() * 1e6,
+            self.wire.bytes_per_sec / 1e6,
+            self.comm_ms(),
+            self.ratio(),
+        )
+    }
 }
 
 #[cfg(test)]

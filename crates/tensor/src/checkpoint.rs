@@ -118,19 +118,26 @@ fn parse(payload: &[u8]) -> Result<Vec<Entry>, CheckpointError> {
     if cursor.u32()? != VERSION {
         return Err(CheckpointError::BadHeader);
     }
+    // Header fields are unverified until the seal is checked below, so
+    // every pre-allocation is capped by what the remaining bytes can hold
+    // (an entry is at least its name length and rank, 8 bytes).
     let count = cursor.u32()? as usize;
-    let mut entries: Vec<Entry> = Vec::with_capacity(count);
+    let mut entries: Vec<Entry> = Vec::with_capacity(count.min(cursor.remaining() / 8));
     for _ in 0..count {
         let name_len = cursor.u32()? as usize;
         let name = String::from_utf8(cursor.take(name_len)?.to_vec())
             .map_err(|_| CheckpointError::BadHeader)?;
         let rank = cursor.u32()? as usize;
-        let mut dims = Vec::with_capacity(rank);
+        let mut dims = Vec::with_capacity(rank.min(cursor.remaining() / 4));
         for _ in 0..rank {
             dims.push(cursor.u32()? as usize);
         }
-        let numel: usize = dims.iter().product();
-        let raw = cursor.take(numel * 4)?;
+        // A size that overflows cannot be present in the payload.
+        let bytes = dims
+            .iter()
+            .try_fold(4usize, |acc, &d| acc.checked_mul(d))
+            .ok_or(CheckpointError::Truncated)?;
+        let raw = cursor.take(bytes)?;
         let data: Vec<f32> = raw
             .chunks_exact(4)
             .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -250,8 +257,12 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(CheckpointError::Truncated);
         }
         let out = &self.buf[self.pos..self.pos + n];
@@ -325,6 +336,30 @@ mod tests {
             load(&ckpt, &mut |f| m.visit_params(f)).unwrap_err(),
             CheckpointError::Truncated
         );
+    }
+
+    #[test]
+    fn hostile_sizes_in_the_header_do_not_allocate() {
+        // Unsealed headers claiming 2^32 - 1 entries, a huge rank, and dims
+        // whose product overflows must fail on their bytes, not abort on
+        // an allocation.
+        let header = |fields: &[u32]| {
+            let mut out = MAGIC.to_vec();
+            out.extend_from_slice(&VERSION.to_le_bytes());
+            for f in fields {
+                out.extend_from_slice(&f.to_le_bytes());
+            }
+            let crc = crc32(&out);
+            out.extend_from_slice(&crc.to_le_bytes());
+            out
+        };
+        for fields in [
+            vec![u32::MAX],
+            vec![1, 0, u32::MAX],
+            vec![1, 0, 3, u32::MAX, u32::MAX, u32::MAX],
+        ] {
+            assert_eq!(verify(&header(&fields)), Err(CheckpointError::Truncated));
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! ```
 
 pub mod checkpoint;
+mod gemm;
 pub mod grad_check;
 pub mod nn;
 pub mod ops;

@@ -3,25 +3,18 @@
 //! Shape-checked entry points return [`Result`]; the hot inner loops are
 //! plain slice arithmetic so the compiler can vectorize them.
 
+use crate::gemm::{gemm, View};
 use crate::tensor::{Tensor, TensorError};
 
 impl Tensor {
     /// Matrix-multiplies two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
     ///
-    /// Uses an i-k-j loop order with a transposed accumulation pattern that
-    /// keeps the innermost loop contiguous in both operands.
+    /// All three matmul forms share one packed, register-blocked kernel
+    /// (see the `gemm` module). Each output element sums its `k` products
+    /// in ascending order from `+0.0`, so the result is bit-identical to
+    /// the textbook loop on finite inputs; `0 × ∞` yields NaN.
     pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor, TensorError> {
-        if self.rank() != 2 || rhs.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                op: "matmul",
-                expected: 2,
-                actual: if self.rank() != 2 {
-                    self.rank()
-                } else {
-                    rhs.rank()
-                },
-            });
-        }
+        check_rank2("matmul", self, rhs)?;
         if !self.shape().matmul_compatible(rhs.shape()) {
             return Err(TensorError::ShapeMismatch {
                 op: "matmul",
@@ -31,39 +24,14 @@ impl Tensor {
         }
         let (m, k) = (self.dims()[0], self.dims()[1]);
         let n = rhs.dims()[1];
-        let mut out = vec![0.0f32; m * n];
-        let a = self.data();
-        let b = rhs.data();
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (p, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[p * n..(p + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *o += av * bv;
-                }
-            }
-        }
+        let out = gemm(View::rows(self.data(), m, k), View::rows(rhs.data(), k, n));
         Tensor::from_vec(out, &[m, n])
     }
 
     /// Matrix-multiplies `self` by the transpose of `rhs`:
     /// `[m, k] x [n, k]^T -> [m, n]`.
     pub fn matmul_t(&self, rhs: &Tensor) -> Result<Tensor, TensorError> {
-        if self.rank() != 2 || rhs.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                op: "matmul_t",
-                expected: 2,
-                actual: if self.rank() != 2 {
-                    self.rank()
-                } else {
-                    rhs.rank()
-                },
-            });
-        }
+        check_rank2("matmul_t", self, rhs)?;
         if self.dims()[1] != rhs.dims()[1] {
             return Err(TensorError::ShapeMismatch {
                 op: "matmul_t",
@@ -73,20 +41,10 @@ impl Tensor {
         }
         let (m, k) = (self.dims()[0], self.dims()[1]);
         let n = rhs.dims()[0];
-        let mut out = vec![0.0f32; m * n];
-        let a = self.data();
-        let b = rhs.data();
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                let brow = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                    acc += av * bv;
-                }
-                out[i * n + j] = acc;
-            }
-        }
+        let out = gemm(
+            View::rows(self.data(), m, k),
+            View::transposed(rhs.data(), n, k),
+        );
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -95,17 +53,7 @@ impl Tensor {
     ///
     /// This is the shape needed for weight gradients (`x^T · dy`).
     pub fn t_matmul(&self, rhs: &Tensor) -> Result<Tensor, TensorError> {
-        if self.rank() != 2 || rhs.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                op: "t_matmul",
-                expected: 2,
-                actual: if self.rank() != 2 {
-                    self.rank()
-                } else {
-                    rhs.rank()
-                },
-            });
-        }
+        check_rank2("t_matmul", self, rhs)?;
         if self.dims()[0] != rhs.dims()[0] {
             return Err(TensorError::ShapeMismatch {
                 op: "t_matmul",
@@ -115,22 +63,10 @@ impl Tensor {
         }
         let (k, m) = (self.dims()[0], self.dims()[1]);
         let n = rhs.dims()[1];
-        let mut out = vec![0.0f32; m * n];
-        let a = self.data();
-        let b = rhs.data();
-        for p in 0..k {
-            let arow = &a[p * m..(p + 1) * m];
-            let brow = &b[p * n..(p + 1) * n];
-            for (i, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let orow = &mut out[i * n..(i + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *o += av * bv;
-                }
-            }
-        }
+        let out = gemm(
+            View::transposed(self.data(), k, m),
+            View::rows(rhs.data(), k, n),
+        );
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -145,9 +81,9 @@ impl Tensor {
         }
         let (m, n) = (self.dims()[0], self.dims()[1]);
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data()[i * n + j];
+        for (i, row) in rows(self.data(), n).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                out[j * m + i] = v;
             }
         }
         Tensor::from_vec(out, &[n, m])
@@ -210,14 +146,13 @@ impl Tensor {
                 rhs: bias.shape().clone(),
             });
         }
-        let (m, n) = (self.dims()[0], self.dims()[1]);
         let mut out = self.data().to_vec();
-        for i in 0..m {
-            for j in 0..n {
-                out[i * n + j] += bias.data()[j];
+        for row in out.chunks_exact_mut(bias.numel().max(1)) {
+            for (o, &b) in row.iter_mut().zip(bias.data()) {
+                *o += b;
             }
         }
-        Tensor::from_vec(out, &[m, n])
+        Tensor::from_vec(out, self.dims())
     }
 
     /// Sums all elements.
@@ -245,11 +180,11 @@ impl Tensor {
                 actual: self.rank(),
             });
         }
-        let (m, n) = (self.dims()[0], self.dims()[1]);
+        let n = self.dims()[1];
         let mut out = vec![0.0f32; n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j] += self.data()[i * n + j];
+        for row in rows(self.data(), n) {
+            for (o, &v) in out.iter_mut().zip(row) {
+                *o += v;
             }
         }
         Tensor::from_vec(out, &[n])
@@ -336,6 +271,25 @@ impl Tensor {
     }
 }
 
+/// Rejects any operand of a matmul form that is not rank 2.
+fn check_rank2(op: &'static str, lhs: &Tensor, rhs: &Tensor) -> Result<(), TensorError> {
+    for t in [lhs, rhs] {
+        if t.rank() != 2 {
+            return Err(TensorError::RankMismatch {
+                op,
+                expected: 2,
+                actual: t.rank(),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The `n`-wide rows of a row-major buffer (none when `n == 0`).
+fn rows(data: &[f32], n: usize) -> std::slice::ChunksExact<'_, f32> {
+    data.chunks_exact(n.max(1))
+}
+
 /// GELU activation (tanh approximation), elementwise.
 pub fn gelu(x: f32) -> f32 {
     const SQRT_2_OVER_PI: f32 = 0.797_884_6;
@@ -407,7 +361,7 @@ mod tests {
         );
         let direct = a.matmul_t(&b).unwrap();
         let via_transpose = a.matmul(&b.transpose().unwrap()).unwrap();
-        assert!(direct.max_abs_diff(&via_transpose).unwrap() < 1e-6);
+        assert_eq!(direct.data(), via_transpose.data());
     }
 
     #[test]
@@ -416,7 +370,7 @@ mod tests {
         let b = t2(&[1.0, -1.0, 0.5, 2.0, 3.0, 0.0], 3, 2);
         let direct = a.t_matmul(&b).unwrap();
         let via_transpose = a.transpose().unwrap().matmul(&b).unwrap();
-        assert!(direct.max_abs_diff(&via_transpose).unwrap() < 1e-6);
+        assert_eq!(direct.data(), via_transpose.data());
     }
 
     #[test]
