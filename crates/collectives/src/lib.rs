@@ -103,10 +103,9 @@ fn coll_span(alg: &str, tag: u64, chunks: &[Bytes]) -> schemoe_obs::SpanGuard {
 
 /// Hard ceiling on the pipeline partition degree `r`.
 ///
-/// A lane is `TAG_STRIDE / 4` tags wide and the serial path's hosted
-/// failover legs occupy `lane + 1 + rank` (ranks ≤ 64), so 4096 chunks per
-/// lane leaves both schemes collision-free with orders of magnitude to
-/// spare. Configuration layers cap degrees here at construction so a
+/// A lane is `TAG_STRIDE / 4` tags wide, so 4096 chunks per lane leaves
+/// the chunk tags collision-free with orders of magnitude to spare.
+/// Configuration layers cap degrees here at construction so a
 /// misconfigured degree fails loudly instead of silently colliding tags
 /// across lanes in a release build.
 pub const MAX_PARTITION_DEGREE: usize = 4096;

@@ -70,7 +70,9 @@ fn run_step(
 
 /// One robustness mode per case: a non-static placement with replica
 /// fan-out and a migrated expert (0), one dead rank in degraded mode (1),
-/// or the dead rank's expert hosted on a failover buddy (2).
+/// the dead rank's expert hosted on a failover buddy (2), or a non-static
+/// placement installed while the last rank is dead (3): its expert stays
+/// masked while the live experts fan out and migrate.
 type RobustOut = Option<(Tensor, Tensor, Vec<f32>, Vec<Vec<f32>>, Vec<u64>, u64, u64)>;
 
 fn run_robust_step(
@@ -123,6 +125,34 @@ fn run_robust_step(
                 layer.set_placement(me, Placement::new(1, 1, servers));
             }
             1 => layer.mark_rank_dead(dead.unwrap()),
+            3 => {
+                // Expert 0 fans out across ranks 0 and 1 (rank 1 is the
+                // dead one when p == 2: the fan-out collapses onto rank
+                // 0), and with p > 2 the second-to-last expert migrates
+                // onto rank 0. The dead rank's own expert keeps its home,
+                // so it stays masked.
+                layer.mark_rank_dead(p - 1);
+                let mut servers: Vec<Vec<usize>> = (0..p).map(|e| vec![e]).collect();
+                servers[0] = vec![0, 1];
+                if p > 2 {
+                    servers[p - 2] = vec![0];
+                }
+                if me == 1 {
+                    layer.install_guest_expert(
+                        me,
+                        0,
+                        Box::new(FfExpert::new(M, H, &mut seeded(2000))),
+                    );
+                }
+                if me == 0 && p > 2 {
+                    layer.install_guest_expert(
+                        me,
+                        p - 2,
+                        Box::new(FfExpert::new(M, H, &mut seeded(2000 + (p - 2) as u64))),
+                    );
+                }
+                layer.set_placement(me, Placement::new(1, 1, servers));
+            }
             _ => {
                 let d = dead.unwrap();
                 layer.mark_rank_dead(d);
@@ -194,8 +224,8 @@ proptest! {
 
     /// Property: capacity-factor shedding and replica fan-out routing are
     /// bit-deterministic across thread interleavings (partition degrees)
-    /// and compose with one-dead-rank degraded mode and hosted-expert
-    /// failover. Outputs, gradients, reduced values, per-expert routed
+    /// and compose with one-dead-rank degraded mode, hosted-expert
+    /// failover, and each other. Outputs, gradients, reduced values, per-expert routed
     /// loads, and shed counts must all agree bit for bit between any two
     /// pipeline schedules of the same step.
     #[test]
@@ -206,7 +236,7 @@ proptest! {
         k_raw in 1usize..3,
         degree_a in 1usize..9,
         degree_b in 1usize..9,
-        mode in 0usize..3,
+        mode in 0usize..4,
         seed in 0u64..200,
     ) {
         let topo = Topology::new(nodes, gpus);

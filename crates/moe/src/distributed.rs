@@ -9,9 +9,9 @@ use parking_lot::Mutex;
 use schemoe_cluster::{FabricError, RankHandle};
 use schemoe_collectives::{
     chunk_tag, lanes, reference_all_to_all, reference_all_to_all_timeout, AllToAll,
-    MAX_PARTITION_DEGREE, TAG_STRIDE,
+    MAX_PARTITION_DEGREE,
 };
-use schemoe_compression::Compressor;
+use schemoe_compression::{Compressor, NoCompression};
 use schemoe_obs as obs;
 use schemoe_scheduler::executor::{run_overlapped_cancellable, ExecTask, Worker};
 use schemoe_tensor::nn::Param;
@@ -21,26 +21,38 @@ use crate::expert::Expert;
 use crate::gating::{GateDecision, TopKGate};
 use crate::placement::Placement;
 
+/// No codec packs more than this many values into one wire byte, so a
+/// chunk header claiming more rows than that is corrupt before any codec
+/// (or allocation) sees it.
+const MAX_VALUES_PER_BYTE: usize = 64;
+
 /// An expert-parallel MoE layer: every rank owns `experts_per_rank`
 /// experts and a gate replica, tokens travel through two all-to-alls.
 ///
 /// Forward (paper §2.2, Fig. 2): the gate routes local tokens to *global*
 /// experts; per-destination payloads are serialized, compressed with the
 /// configured [`Compressor`], exchanged through the configured
-/// [`AllToAll`], decompressed, pushed through the owning rank's experts,
+/// [`AllToAll`], decompressed, pushed through the serving rank's experts,
 /// and shipped back the same way for the weighted combine. Backward
 /// reverses the exchanges (gradients travel uncompressed, matching the
 /// paper's §7 caution about compressing backpropagation).
 ///
+/// Where every slot goes is read off one routing table, a [`Placement`]:
+/// slot `s` of expert `e` travels to `servers(e)[s % g]`. The static
+/// layout, dead ranks (which serve nothing), failover (a buddy listed as
+/// a dead rank's experts' server) and load-aware placement (hot experts
+/// with more servers, experts moved off gray ranks) are all just edits of
+/// that table; both schedules below route by it.
+///
 /// With [`with_partition_degree`](Self::with_partition_degree) above 1 the
-/// forward runs ScheMoE's *pipelined* schedule instead: the batch's routed
-/// slots are split into `r` chunks and the per-chunk task chain
-/// `C1 → A2A1 → (D1·E·C2) → A2A2 → D2` executes on a two-worker overlap
-/// executor, so chunk `c`'s exchange overlaps chunk `c+1`'s compute (the
-/// paper's OptSche order). The overlapped output is bit-identical to the
-/// serial path: the gate runs once on the whole batch, expert bodies are
-/// row-wise, and the final combine reassembles chunks into exactly the
-/// serial slot order before accumulating.
+/// forward runs ScheMoE's *pipelined* schedule instead of the serial one:
+/// the batch's routed slots are split into `r` chunks and the per-chunk
+/// task chain `C1 → A2A1 → (D1·E·C2) → A2A2 → D2` executes on a two-worker
+/// overlap executor, so chunk `c`'s exchange overlaps chunk `c+1`'s
+/// compute (the paper's OptSche order). The overlapped output is
+/// bit-identical to the serial path: the gate runs once on the whole
+/// batch, expert bodies are row-wise, and the final combine reassembles
+/// chunks into exactly the serial slot order before accumulating.
 pub struct DistributedMoeLayer {
     gate: TopKGate,
     local_experts: Vec<Box<dyn Expert>>,
@@ -50,71 +62,238 @@ pub struct DistributedMoeLayer {
     cache: Option<Cache>,
     /// ScheMoE pipelining degree `r`; 1 = serial.
     partition_degree: usize,
-    /// Liveness deadline for the overlapped path's receives.
+    /// Liveness deadline for the masked exchanges' receives.
     recv_timeout: Option<Duration>,
-    /// Ranks declared dead mid-training: their experts are masked out of
-    /// routing and all exchanges skip them (degraded mode).
+    /// Ranks declared dead mid-training: every exchange skips them and
+    /// they serve nothing in `routing` (degraded mode).
     dead_ranks: BTreeSet<usize>,
-    /// Hot-failover routing: dead rank → live host currently serving its
-    /// experts from a buddy replica. Every live rank must hold the same
-    /// table so the hosted exchanges agree on who speaks for whom; a dead
-    /// rank with a route keeps its experts in the routing table.
-    failover_hosts: BTreeMap<usize, usize>,
-    /// The expert bodies this rank serves on behalf of dead wards (the
-    /// host side of `failover_hosts`), keyed by the dead rank.
-    hosted_experts: BTreeMap<usize, Vec<Box<dyn Expert>>>,
-    /// Load-aware expert placement installed by the placement controller;
-    /// `None` (or a static table) keeps the owner-per-rank layout. A
-    /// non-static placement activates the *placed* forward/backward, which
-    /// fans each expert's slots across its replica set.
-    placement: Option<Placement>,
-    /// Guest expert bodies this rank serves for experts whose static home
-    /// is elsewhere (replicated or migrated onto this rank), keyed by
-    /// global expert id. Kept out of [`visit_params`](Self::visit_params)
-    /// so optimizer slot order never shifts when placements change.
+    /// The routing table, this layer's only routing state: the live ranks
+    /// serving each global expert. An expert with no server is masked out
+    /// of the gate. Every live rank must hold the same table.
+    routing: Placement,
+    /// True while a controller-installed placement is active — what
+    /// [`placement`](Self::placement) reports. Failover and dead-rank
+    /// edits alone leave it false.
+    placed: bool,
+    /// Bodies this rank serves for experts whose static home is elsewhere,
+    /// keyed by global expert id: placement guests (home live) and failover
+    /// wards (home dead). Kept out of [`visit_params`](Self::visit_params)
+    /// so optimizer slot order never shifts when the table changes.
     guest_experts: BTreeMap<usize, Box<dyn Expert>>,
     /// Per-global-expert routed token counts since the last
     /// [`take_load_stats`](Self::take_load_stats) drain (placement policy
-    /// input; recorded by every forward path).
+    /// input).
     routing_loads: Vec<u64>,
     /// Capacity-shed assignments since the last drain.
     shed_tokens: u64,
     /// Admitted assignments since the last drain.
     routed_tokens: u64,
-    /// Per-forward local expert-stage service times (µs) since the last
-    /// drain. Only the serial and placed paths record these; the
-    /// overlapped path interleaves compute with communication, so its
-    /// expert stage has no isolated wall-clock reading.
+    /// Per-forward expert-stage service times (µs) since the last drain:
+    /// the summed wall clock of this rank's expert forwards.
     service_us: Vec<u64>,
 }
 
 struct Cache {
     decision: GateDecision,
-    /// Per local expert, per src rank: row count received.
+    /// The routing the forward ran under; the backward mirrors it.
+    route: Route,
+    /// Per served expert (ascending global id), per src rank: rows received.
     recv_counts: Vec<Vec<usize>>,
-    /// Per hosted dead rank, per its local expert, per src rank: row count
-    /// received on the hosted dispatch lane (host side of failover).
-    hosted_recv_counts: BTreeMap<usize, Vec<Vec<usize>>>,
-    /// Per hosted dead rank, per its local expert: the src-major input
-    /// rows, for the same per-(expert, source) recompute grouping the
-    /// rank itself would have used.
-    hosted_inputs: BTreeMap<usize, Vec<Tensor>>,
-    /// Per global expert this rank dispatched to: the returned output rows
-    /// in this rank's slot order.
+    /// Per global expert: the returned output rows in this rank's slot
+    /// order.
     returned_outputs: Vec<Tensor>,
-    /// Per local expert: the serial-order (src-major) input rows. Set by
-    /// both forwards; the backward recomputes each (expert, source)
-    /// group's activations from these before differentiating it, which is
-    /// what makes the weight-gradient accumulation order — and therefore
-    /// the grads — independent of the partition degree.
-    expert_inputs: Option<Vec<Tensor>>,
+    /// Per served expert: the serial-order (src-major) input rows. The
+    /// backward recomputes each (expert, source) group's activations from
+    /// these before differentiating it, which is what makes the
+    /// weight-gradient accumulation order — and therefore the grads —
+    /// independent of the schedule.
+    expert_inputs: Vec<Tensor>,
     n: usize,
     tag_base: u64,
-    /// `Some(served list)` when the forward ran the placed path: the
-    /// ascending global expert ids this rank served, indexing
-    /// `recv_counts` / `expert_inputs`. Routes the backward to the placed
-    /// path with the same fan-out.
-    served: Option<Vec<usize>>,
+}
+
+/// One step's routing, read off the table.
+struct Route {
+    me: usize,
+    live: Vec<bool>,
+    /// Per global expert: its servers; slot `s` goes to `servers[e][s % g]`.
+    servers: Vec<Vec<usize>>,
+    /// Per rank: the global experts it serves, ascending.
+    served: Vec<Vec<usize>>,
+    /// Every rank is live and serves something, so every pair talks on
+    /// every leg: the exchanges are plain all-to-alls.
+    dense: bool,
+}
+
+impl Route {
+    /// Whether the message `from → to` travels on a leg toward the servers
+    /// (`to_servers`: dispatch, every live rank sends, serving ranks
+    /// receive) or back from them (combine, serving ranks send, every live
+    /// rank receives).
+    fn talks(&self, from: usize, to: usize, to_servers: bool) -> bool {
+        let server = if to_servers { to } else { from };
+        self.live[from] && self.live[to] && !self.served[server].is_empty()
+    }
+
+    /// Position of expert `e` in `rank`'s served list.
+    fn index_of(&self, rank: usize, e: usize) -> usize {
+        self.served[rank]
+            .binary_search(&e)
+            .expect("a server serves its expert")
+    }
+
+    /// The rows one chunk carries toward server `dst`: for every expert
+    /// `dst` serves, that server's share of chunk `c` of `r` (see
+    /// [`share`]), each row filled by `fill(row, slot)`.
+    fn gather(
+        &self,
+        decision: &GateDecision,
+        dst: usize,
+        (c, r): (usize, usize),
+        m: usize,
+        fill: impl Fn(&mut [f32], (usize, f32)),
+    ) -> Vec<Tensor> {
+        self.served[dst]
+            .iter()
+            .map(|&e| {
+                let srv = &self.servers[e];
+                let i = srv.iter().position(|&s| s == dst).expect("dst serves e");
+                let slots = &decision.expert_slots[e];
+                let picked = share(slots.len(), i, srv.len(), c, r);
+                let mut rows = Tensor::zeros(&[picked.len(), m]);
+                for (row, s) in picked.enumerate() {
+                    fill(rows.row_mut(row), slots[s]);
+                }
+                rows
+            })
+            .collect()
+    }
+
+    /// The inverse of [`gather`](Self::gather) for what the servers sent
+    /// back for chunk `c` of `r` (`parts[server][k]`): writes each share
+    /// row into `rows[e]` at its slot. A share of the wrong length is a
+    /// corrupt peer chunk.
+    fn unshare(
+        &self,
+        decision: &GateDecision,
+        parts: &[Vec<Tensor>],
+        (c, r): (usize, usize),
+        rows: &mut [Tensor],
+        tag: u64,
+    ) -> Result<(), FabricError> {
+        for (e, srv) in self.servers.iter().enumerate() {
+            let len = decision.expert_slots[e].len();
+            for (i, &peer) in srv.iter().enumerate() {
+                let part = &parts[peer][self.index_of(peer, e)];
+                let picked = share(len, i, srv.len(), c, r);
+                if part.dims()[0] != picked.len() {
+                    return Err(FabricError::Corrupt { peer, tag });
+                }
+                for (row, s) in picked.enumerate() {
+                    rows[e].row_mut(s).copy_from_slice(part.row(row));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Slot indices of an expert's `len`-slot list that chunk `c` of `r`
+/// sends to the server at position `i` of its `g` servers: the chunk
+/// holds the contiguous segment `[c·len/r, (c+1)·len/r)`, and slot `s`
+/// goes to position `s % g`.
+fn share(
+    len: usize,
+    i: usize,
+    g: usize,
+    c: usize,
+    r: usize,
+) -> std::iter::StepBy<std::ops::Range<usize>> {
+    let (lo, hi) = (c * len / r, (c + 1) * len / r);
+    let first = lo + (i + g - lo % g) % g;
+    (first.min(hi)..hi).step_by(g)
+}
+
+/// Stacks row blocks of width `m`, in order.
+fn concat_rows<'a>(parts: impl Iterator<Item = &'a Tensor>, m: usize) -> Tensor {
+    let mut data = Vec::new();
+    let mut rows = 0;
+    for t in parts {
+        data.extend_from_slice(t.data());
+        rows += t.dims()[0];
+    }
+    Tensor::from_vec(data, &[rows, m]).expect("row blocks share a width")
+}
+
+/// Rows `start..start + count` of `t`.
+fn slice_rows(t: &Tensor, start: usize, count: usize) -> Tensor {
+    let m = t.dims()[1];
+    Tensor::from_vec(
+        t.data()[start * m..(start + count) * m].to_vec(),
+        &[count, m],
+    )
+    .expect("row range in bounds")
+}
+
+/// The expert bodies a rank serves: its local experts, plus guest bodies
+/// for experts whose static home is elsewhere.
+struct Bodies<'a> {
+    me: usize,
+    epr: usize,
+    local: &'a mut [Box<dyn Expert>],
+    guests: &'a mut BTreeMap<usize, Box<dyn Expert>>,
+}
+
+impl Bodies<'_> {
+    fn get(&mut self, e: usize) -> &mut dyn Expert {
+        if e / self.epr == self.me {
+            self.local[e % self.epr].as_mut()
+        } else {
+            self.guests
+                .get_mut(&e)
+                .expect("guest body installed for served expert")
+                .as_mut()
+        }
+    }
+}
+
+/// What every pipeline comm task shares: the fabric handle, the first
+/// error, and the executor's cancel flag.
+type Shared<'a, 'h> = (
+    &'a Mutex<&'h mut RankHandle>,
+    &'a Mutex<Option<FabricError>>,
+    &'a AtomicBool,
+);
+
+/// Records a pipeline task's failure: the first error wins, and the cancel
+/// flag tells the executor to skip queued lanes outright — one dead peer
+/// must cost one receive deadline, not one per lane.
+fn fail(error: &Mutex<Option<FabricError>>, cancel: &AtomicBool, e: FabricError) {
+    error.lock().get_or_insert(e);
+    cancel.store(true, Ordering::Release);
+}
+
+/// A failed lane records its typed error and the dependent tasks skip;
+/// prefer that over the executor's panic report when both exist (the
+/// panic is usually downstream fallout of the fabric failure).
+fn pipeline_outcome<E: std::fmt::Display>(
+    error: Mutex<Option<FabricError>>,
+    exec: Result<(), E>,
+) -> Result<(), FabricError> {
+    if let Some(e) = error.into_inner() {
+        return Err(e);
+    }
+    exec.map_err(|e| FabricError::Worker {
+        detail: e.to_string(),
+    })
+}
+
+/// A span name, suffixed with the chunk for the pipelined schedule.
+fn stage(stem: &str, chunk: Option<usize>) -> String {
+    match chunk {
+        Some(c) => format!("{stem}[c{c}]"),
+        None => stem.to_string(),
+    }
 }
 
 /// A replicated-parameter gradient allreduce to fold into the MoE
@@ -138,7 +317,7 @@ pub struct GradAllreduce<'a> {
 }
 
 impl DistributedMoeLayer {
-    /// Creates the layer from its parts.
+    /// Creates the layer from its parts, routing by the static layout.
     ///
     /// The gate must route over `world_size × experts_per_rank` experts;
     /// `local_experts.len()` must equal `experts_per_rank`.
@@ -154,6 +333,7 @@ impl DistributedMoeLayer {
     ) -> Self {
         let experts_per_rank = local_experts.len();
         assert!(experts_per_rank > 0, "at least one local expert required");
+        let routing = Placement::static_layout(gate.num_experts(), experts_per_rank);
         DistributedMoeLayer {
             gate,
             local_experts,
@@ -164,9 +344,8 @@ impl DistributedMoeLayer {
             partition_degree: 1,
             recv_timeout: None,
             dead_ranks: BTreeSet::new(),
-            failover_hosts: BTreeMap::new(),
-            hosted_experts: BTreeMap::new(),
-            placement: None,
+            routing,
+            placed: false,
             guest_experts: BTreeMap::new(),
             routing_loads: Vec::new(),
             shed_tokens: 0,
@@ -195,9 +374,9 @@ impl DistributedMoeLayer {
         self
     }
 
-    /// Sets a liveness deadline for the overlapped pipeline's receives:
-    /// a live-but-silent peer surfaces as [`FabricError::Timeout`] instead
-    /// of hanging the pipeline.
+    /// Sets a liveness deadline for the masked exchanges' receives: a
+    /// live-but-silent peer surfaces as [`FabricError::Timeout`] instead
+    /// of hanging the step.
     pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
         self.recv_timeout = Some(timeout);
         self
@@ -225,40 +404,56 @@ impl DistributedMoeLayer {
         self.gate.set_capacity_factor(factor);
     }
 
-    /// The rank owning global expert `e`.
-    fn owner_of(&self, e: usize) -> usize {
-        e / self.experts_per_rank
+    /// The global experts whose static home is `rank`.
+    fn experts_of(&self, rank: usize) -> std::ops::Range<usize> {
+        rank * self.experts_per_rank..(rank + 1) * self.experts_per_rank
     }
 
-    /// Declares `rank` dead: its experts leave the routing table (the gate
-    /// renormalizes over survivors) and every exchange skips it. The next
-    /// forward runs in degraded mode — with a quality warning recorded on
-    /// the `degraded` span and counter — instead of hanging on the dead
+    /// Points expert `e` at `servers`, minus any dead rank.
+    fn set_servers(&mut self, e: usize, servers: &[usize]) {
+        let live = servers
+            .iter()
+            .copied()
+            .filter(|r| !self.dead_ranks.contains(r))
+            .collect();
+        self.routing.set_servers(e, live);
+    }
+
+    /// Declares `rank` dead: it stops serving (replicas shrink; experts it
+    /// served alone — its own, or wards it hosted — leave the gate, which
+    /// renormalizes over the rest) and every exchange skips it. The next
+    /// forward runs in degraded mode, with a quality warning recorded on
+    /// the `degraded` span and counter, instead of hanging on the dead
     /// peer. With at least two live ranks the overlapped (r > 1) pipeline
     /// keeps running over the survivors; only a world shrunk to one live
     /// rank falls back to the serial path.
     pub fn mark_rank_dead(&mut self, rank: usize) {
         self.dead_ranks.insert(rank);
-        // A dying host orphans its wards: their routes vanish and the gate
-        // masks their experts out again until a new host takes over.
-        self.failover_hosts.retain(|_, host| *host != rank);
+        for e in 0..self.routing.n_experts() {
+            let servers = self.routing.servers(e).to_vec();
+            self.set_servers(e, &servers);
+        }
     }
 
     /// The inverse of [`mark_rank_dead`](Self::mark_rank_dead): `rank` has
-    /// rejoined (its state was restored by the rejoin protocol), so its
-    /// experts re-enter the routing table, the gate's normalization expands
-    /// back over them, exchanges include it again, and — once the dead set
-    /// is empty — the forward leaves degraded mode entirely.
+    /// rejoined (its state was restored by the rejoin protocol), so it
+    /// serves its own experts again — replacing any failover host, whose
+    /// ward bodies are dropped — exchanges include it again, and once the
+    /// dead set is empty the forward leaves degraded mode entirely. A
+    /// no-op for a rank that is not dead.
     pub fn mark_rank_alive(&mut self, rank: usize) {
-        self.dead_ranks.remove(&rank);
-        self.failover_hosts.remove(&rank);
-        self.hosted_experts.remove(&rank);
+        if !self.dead_ranks.remove(&rank) {
+            return;
+        }
+        for e in self.experts_of(rank) {
+            self.guest_experts.remove(&e);
+            self.routing.set_servers(e, vec![rank]);
+        }
     }
 
-    /// Installs a failover route: live rank `host` serves the experts of
-    /// dead rank `dead` from its buddy replica, so `dead`'s experts stay
-    /// in the routing table instead of being masked out. Every live rank
-    /// must install the same route for the hosted exchanges to line up;
+    /// Installs a failover route: live rank `host` becomes the server of
+    /// dead rank `dead`'s experts, so they stay in the gate instead of
+    /// being masked out. Every live rank must install the same route;
     /// only the host itself also calls
     /// [`install_hosted_experts`](Self::install_hosted_experts).
     ///
@@ -267,11 +462,14 @@ impl DistributedMoeLayer {
     /// Panics if `dead == host`.
     pub fn set_failover_route(&mut self, dead: usize, host: usize) {
         assert_ne!(dead, host, "a rank cannot host its own failover");
-        self.failover_hosts.insert(dead, host);
+        for e in self.experts_of(dead) {
+            self.set_servers(e, &[host]);
+        }
     }
 
     /// Hands this rank the expert bodies it will serve for dead rank
-    /// `dead` (typically rebuilt from the buddy replica).
+    /// `dead` (typically rebuilt from the buddy replica), held as guest
+    /// bodies of `dead`'s experts.
     ///
     /// # Panics
     ///
@@ -282,34 +480,59 @@ impl DistributedMoeLayer {
             self.experts_per_rank,
             "hosted expert count must match experts_per_rank"
         );
-        self.hosted_experts.insert(dead, experts);
+        for (e, body) in self.experts_of(dead).zip(experts) {
+            self.guest_experts.insert(e, body);
+        }
     }
 
-    /// The live rank currently serving `dead`'s experts, if routed.
+    /// The live rank currently serving dead rank `dead`'s experts, if any.
     pub fn failover_host_of(&self, dead: usize) -> Option<usize> {
-        self.failover_hosts.get(&dead).copied()
+        if !self.dead_ranks.contains(&dead) {
+            return None;
+        }
+        self.routing
+            .servers(dead * self.experts_per_rank)
+            .first()
+            .copied()
     }
 
     /// All `(dead, host)` failover routes, ascending by dead rank.
     pub fn failover_routes(&self) -> Vec<(usize, usize)> {
-        self.failover_hosts.iter().map(|(&d, &h)| (d, h)).collect()
+        self.dead_ranks
+            .iter()
+            .filter_map(|&d| self.failover_host_of(d).map(|host| (d, host)))
+            .collect()
     }
 
-    /// Drops every failover route and hosted expert (used when the dead
-    /// rank rejoins and takes its experts back).
+    /// Drops every failover route and hosted expert: dead ranks' experts
+    /// are masked again.
     pub fn clear_failover_routes(&mut self) {
-        self.failover_hosts.clear();
-        self.hosted_experts.clear();
+        let wards: Vec<usize> = self
+            .dead_ranks
+            .iter()
+            .flat_map(|&d| self.experts_of(d))
+            .collect();
+        for e in wards {
+            self.guest_experts.remove(&e);
+            self.routing.set_servers(e, Vec::new());
+        }
     }
 
     /// True when any failover route is active.
     pub fn has_failover(&self) -> bool {
-        !self.failover_hosts.is_empty()
+        !self.failover_routes().is_empty()
     }
 
     /// The dead ranks whose experts this rank is hosting, ascending.
     pub fn hosted_dead_ranks(&self) -> Vec<usize> {
-        self.hosted_experts.keys().copied().collect()
+        let mut wards: Vec<usize> = self
+            .guest_experts
+            .keys()
+            .map(|e| e / self.experts_per_rank)
+            .filter(|home| self.dead_ranks.contains(home))
+            .collect();
+        wards.dedup();
+        wards
     }
 
     /// Visits the parameters of the experts hosted for dead rank `dead`
@@ -317,51 +540,53 @@ impl DistributedMoeLayer {
     /// [`visit_params`](Self::visit_params) so optimizer state indexed by
     /// visit order is not shifted by transient hosted experts.
     pub fn visit_hosted_params(&mut self, dead: usize, f: &mut dyn FnMut(&mut Param)) {
-        if let Some(wards) = self.hosted_experts.get_mut(&dead) {
-            for e in wards {
-                e.visit_params(f);
+        for e in self.experts_of(dead) {
+            if let Some(body) = self.guest_experts.get_mut(&e) {
+                body.visit_params(f);
             }
         }
     }
 
-    /// The installed placement, if any.
+    /// The controller-installed placement, if one is active: the routing
+    /// table as [`set_placement`](Self::set_placement) left it, with any
+    /// later dead-rank edits.
     pub fn placement(&self) -> Option<&Placement> {
-        self.placement.as_ref()
+        self.placed.then_some(&self.routing)
     }
 
-    /// True when a non-static placement is active: the next forward runs
-    /// the placed path (replica fan-out / migrated homes).
-    pub fn is_placed(&self) -> bool {
-        self.placement.as_ref().is_some_and(|p| !p.is_static())
-    }
-
-    /// Installs a placement for rank `me`. Guest bodies for every expert
-    /// the placement assigns to `me` away from its static home must
-    /// already be installed
-    /// ([`install_guest_expert`](Self::install_guest_expert)); guests the
-    /// new placement no longer assigns here are dropped.
-    ///
-    /// Placement composes with a fully live world only: burial, failover
-    /// and rejoin all reset to the static layout first
-    /// ([`reset_placement`](Self::reset_placement)), so the placed path
-    /// never has to reason about dead peers or hosted lanes.
+    /// Installs a placement for rank `me`: each expert's servers become
+    /// the placement's, minus dead ranks. An expert the placement lists
+    /// only on dead ranks keeps its current route (a failover host, or
+    /// masked). Guest bodies for every expert the table then assigns to
+    /// `me` away from its static home must already be installed
+    /// ([`install_guest_expert`](Self::install_guest_expert) or
+    /// [`install_hosted_experts`](Self::install_hosted_experts)); guests
+    /// the new table no longer assigns here are dropped.
     ///
     /// # Panics
     ///
-    /// Panics if the world is degraded or a failover route is active, if
-    /// the placement's shape disagrees with this layer, or if a required
-    /// guest body is missing.
+    /// Panics if the placement's shape disagrees with this layer, or if a
+    /// required guest body is missing.
     pub fn set_placement(&mut self, me: usize, placement: Placement) {
-        assert!(
-            self.dead_ranks.is_empty() && !self.has_failover(),
-            "placement requires a fully live world; degraded mode resets to static"
-        );
         assert_eq!(
             placement.experts_per_rank(),
             self.experts_per_rank,
             "placement experts_per_rank mismatch"
         );
-        let guests = placement.guests_of(me);
+        assert_eq!(
+            placement.n_experts(),
+            self.routing.n_experts(),
+            "placement must cover the routing table"
+        );
+        let current = std::mem::replace(&mut self.routing, placement);
+        for e in 0..current.n_experts() {
+            let servers = self.routing.servers(e).to_vec();
+            self.set_servers(e, &servers);
+            if self.routing.servers(e).is_empty() {
+                self.routing.set_servers(e, current.servers(e).to_vec());
+            }
+        }
+        let guests = self.routing.guests_of(me);
         for &e in &guests {
             assert!(
                 self.guest_experts.contains_key(&e),
@@ -369,15 +594,22 @@ impl DistributedMoeLayer {
             );
         }
         self.guest_experts.retain(|e, _| guests.contains(e));
-        self.placement = Some(placement);
+        self.placed = true;
     }
 
-    /// Drops any installed placement and all guest bodies, returning the
-    /// layer to the static owner-per-rank layout. Called on every epoch
+    /// Returns every expert with a live static home to that home alone and
+    /// drops their guest bodies; dead ranks' experts keep their route
+    /// (failover host or masked). The trainer calls this on every epoch
     /// transition (burial, failover routing, rejoin admission).
     pub fn reset_placement(&mut self) {
-        self.placement = None;
-        self.guest_experts.clear();
+        self.placed = false;
+        for e in 0..self.routing.n_experts() {
+            let home = e / self.experts_per_rank;
+            if !self.dead_ranks.contains(&home) {
+                self.guest_experts.remove(&e);
+                self.routing.set_servers(e, vec![home]);
+            }
+        }
     }
 
     /// Hands this rank a guest body for global expert `e` (state streamed
@@ -397,9 +629,14 @@ impl DistributedMoeLayer {
         self.guest_experts.insert(e, body);
     }
 
-    /// Global expert ids with guest bodies installed, ascending.
+    /// Global expert ids with placement guest bodies installed, ascending
+    /// (failover wards — guests of a dead home — are not included).
     pub fn guest_expert_ids(&self) -> Vec<usize> {
-        self.guest_experts.keys().copied().collect()
+        self.guest_experts
+            .keys()
+            .copied()
+            .filter(|e| !self.dead_ranks.contains(&(e / self.experts_per_rank)))
+            .collect()
     }
 
     /// Drops a staged guest body that never made it into a committed
@@ -464,22 +701,6 @@ impl DistributedMoeLayer {
         }
     }
 
-    /// Records one expert-stage wall-clock sample.
-    fn note_service(&mut self, elapsed: Duration) {
-        self.service_us.push(elapsed.as_micros() as u64);
-    }
-
-    /// Rows expert `e` sends to the server at position `i` of its
-    /// `g`-replica set when its slot list has `len` entries: slot `s` goes
-    /// to position `s % g`, so position `i` receives slots `i, i+g, …`.
-    fn slot_share(len: usize, i: usize, g: usize) -> usize {
-        if len > i {
-            (len - i - 1) / g + 1
-        } else {
-            0
-        }
-    }
-
     /// The ranks currently declared dead, ascending.
     pub fn dead_ranks(&self) -> Vec<usize> {
         self.dead_ranks.iter().copied().collect()
@@ -490,108 +711,104 @@ impl DistributedMoeLayer {
         !self.dead_ranks.is_empty()
     }
 
-    /// The routing mask for the current dead set: `mask[e]` is true when
-    /// expert `e` lives on a dead rank *without* a failover route. A
-    /// routed dead rank's experts keep serving tokens through their host,
-    /// so they stay in the routing table.
-    fn dead_expert_mask(&self, world_size: usize) -> Vec<bool> {
-        (0..world_size * self.experts_per_rank)
-            .map(|e| {
-                let owner = self.owner_of(e);
-                self.dead_ranks.contains(&owner) && !self.failover_hosts.contains_key(&owner)
+    /// Degraded mode's quality warning: a `degraded` span plus a counter
+    /// tick.
+    fn degraded_span(&self, rank: usize) -> Option<obs::SpanGuard> {
+        self.is_degraded().then(|| {
+            obs::counters_for_rank(rank).add_degraded_step();
+            obs::span(
+                "degraded",
+                format!("degraded step ({} dead)", self.dead_ranks.len()),
+            )
+        })
+    }
+
+    /// This step's routing, read off the table.
+    fn route(&self, me: usize, p: usize) -> Route {
+        assert_eq!(
+            self.routing.n_experts(),
+            p * self.experts_per_rank,
+            "placement must cover the routing table"
+        );
+        let servers: Vec<Vec<usize>> = (0..self.routing.n_experts())
+            .map(|e| self.routing.servers(e).to_vec())
+            .collect();
+        let mut served = vec![Vec::new(); p];
+        for (e, srv) in servers.iter().enumerate() {
+            for &r in srv {
+                served[r].push(e);
+            }
+        }
+        let live: Vec<bool> = (0..p).map(|r| !self.dead_ranks.contains(&r)).collect();
+        let dense = live.iter().all(|&l| l) && served.iter().all(|s| !s.is_empty());
+        Route {
+            me,
+            live,
+            servers,
+            served,
+            dense,
+        }
+    }
+
+    /// Whether this world runs the serial schedule: degree 1, or no
+    /// communication left to overlap.
+    fn serial(&self, p: usize) -> bool {
+        self.partition_degree <= 1 || p - self.dead_ranks.len() < 2
+    }
+
+    /// The one exchange. `chunks[j]` travels to each `j` this rank talks
+    /// to on the leg ([`Route::talks`]): a rank serving no expert is
+    /// skipped on the server-facing side, which keeps a demoted gray
+    /// rank's slow links off the critical path, and dead ranks are skipped
+    /// entirely. A peer that sends nothing reads as `None`. When every
+    /// pair talks this is a plain all-to-all: through `a2a` when given
+    /// (the serial schedule's configured algorithm), else the direct
+    /// tagged exchange the pipelined chunks use.
+    fn exchange(
+        h: &mut RankHandle,
+        a2a: Option<&dyn AllToAll>,
+        chunks: Vec<Bytes>,
+        tag: u64,
+        to_servers: bool,
+        route: &Route,
+        timeout: Option<Duration>,
+    ) -> Result<Vec<Option<Bytes>>, FabricError> {
+        if route.dense {
+            let got = match (a2a, timeout) {
+                (Some(a2a), _) => a2a.all_to_all(h, chunks, tag)?,
+                (None, Some(t)) => reference_all_to_all_timeout(h, chunks, tag, t)?,
+                (None, None) => reference_all_to_all(h, chunks, tag)?,
+            };
+            return Ok(got.into_iter().map(Some).collect());
+        }
+        let me = h.rank();
+        for (j, chunk) in chunks.into_iter().enumerate() {
+            if route.talks(me, j, to_servers) {
+                h.send(j, tag, chunk)?;
+            }
+        }
+        (0..h.world_size())
+            .map(|j| {
+                if !route.talks(j, me, to_servers) {
+                    return Ok(None);
+                }
+                match timeout {
+                    Some(t) => h.recv_timeout(j, tag, t),
+                    None => h.recv(j, tag),
+                }
+                .map(Some)
             })
             .collect()
     }
 
-    /// Tag for the hosted leg of a lane: the traffic dead rank `dead`
-    /// would have carried on `lane_tag`, redirected to its failover host.
-    /// Offsets `1..=world` stay clear of the lane tags themselves (spaced
-    /// `TAG_STRIDE / 4` apart) and of the overlapped path's chunk tags
-    /// (failover forces the serial path).
-    fn hosted_tag(lane_tag: u64, dead: usize) -> u64 {
-        lane_tag + 1 + dead as u64
-    }
-
-    /// Direct exchange among live ranks only: sends go to live peers, dead
-    /// peers' inbound chunks are replaced by `placeholder` (an encoding of
-    /// zero rows), and receives — deadline-aware when the fabric has one —
-    /// touch live peers only, so a dead rank cannot hang the step.
-    fn exchange_live(
-        h: &mut RankHandle,
-        chunks: Vec<Bytes>,
-        tag: u64,
-        dead: &BTreeSet<usize>,
-        placeholder: &Bytes,
-        timeout: Option<Duration>,
-    ) -> Result<Vec<Bytes>, FabricError> {
-        let p = h.world_size();
-        for (j, chunk) in chunks.into_iter().enumerate() {
-            if !dead.contains(&j) {
-                h.send(j, tag, chunk)?;
-            }
-        }
-        let mut out = Vec::with_capacity(p);
-        for j in 0..p {
-            if dead.contains(&j) {
-                out.push(placeholder.clone());
-            } else {
-                out.push(match timeout {
-                    Some(t) => h.recv_timeout(j, tag, t)?,
-                    None => h.recv(j, tag)?,
-                });
-            }
-        }
-        Ok(out)
-    }
-
-    /// Exchange for the placed step. Legs run either *toward* servers
-    /// (dispatch: every rank sends, only serving ranks receive) or *from*
-    /// servers (combine: only serving ranks send, every rank receives). A
-    /// rank serving no experts is skipped on the server-facing side —
-    /// nothing is sent to it on dispatch legs and nothing is awaited from
-    /// it on combine legs — so a demoted gray rank's slow links leave the
-    /// critical path except for the unavoidable hops carrying its own
-    /// tokens. Skipped slots decode as zero-expert placeholders.
-    fn exchange_placed(
-        h: &mut RankHandle,
-        chunks: Vec<Bytes>,
-        tag: u64,
-        to_servers: bool,
-        serves: &[bool],
-        placeholder: &Bytes,
-        timeout: Option<Duration>,
-    ) -> Result<Vec<Bytes>, FabricError> {
-        let p = h.world_size();
-        let me = h.rank();
-        let send_all = if to_servers { true } else { serves[me] };
-        for (j, chunk) in chunks.into_iter().enumerate() {
-            let dst_wants = if to_servers { serves[j] } else { true };
-            if send_all && dst_wants {
-                h.send(j, tag, chunk)?;
-            }
-        }
-        let mut out = Vec::with_capacity(p);
-        for j in 0..p {
-            let expect = if to_servers { serves[me] } else { serves[j] };
-            if expect {
-                out.push(match timeout {
-                    Some(t) => h.recv_timeout(j, tag, t)?,
-                    None => h.recv(j, tag)?,
-                });
-            } else {
-                out.push(placeholder.clone());
-            }
-        }
-        Ok(out)
-    }
-
-    /// Serializes rows destined for one rank: a count header per local
-    /// expert followed by the compressed concatenation of all rows.
+    /// Serializes rows for one peer: a count header per expert followed by
+    /// the compressed concatenation of all rows. Gradients use the same
+    /// format with the fp32 identity codec.
     ///
     /// An associated function (not a method) so the overlapped pipeline can
     /// encode on the compute worker while the expert list is mutably
     /// borrowed elsewhere.
-    fn encode_chunk(compressor: &dyn Compressor, per_expert_rows: &[Tensor], m: usize) -> Bytes {
+    fn encode_chunk(compressor: &dyn Compressor, per_expert_rows: &[Tensor]) -> Bytes {
         let mut header = BytesMut::with_capacity(4 * per_expert_rows.len());
         let mut flat: Vec<f32> = Vec::new();
         for rows in per_expert_rows {
@@ -599,396 +816,139 @@ impl DistributedMoeLayer {
             header.extend_from_slice(&count.to_le_bytes());
             flat.extend_from_slice(rows.data());
         }
-        let _ = m;
         let payload = compressor.compress(&flat);
         header.extend_from_slice(&payload);
         header.freeze()
     }
 
-    /// Decodes a chunk into per-local-expert row tensors.
+    /// Decodes a chunk `peer` sent on `tag` into `experts` row blocks of
+    /// width `m`. Hostile bytes never panic and never allocate beyond what
+    /// the chunk itself could carry: a short header, a row count the
+    /// payload cannot hold, or a payload the codec rejects is
+    /// [`FabricError::Corrupt`].
     fn decode_chunk(
         compressor: &dyn Compressor,
-        chunk: &Bytes,
+        chunk: &[u8],
         experts: usize,
         m: usize,
-    ) -> Vec<Tensor> {
-        let mut counts = Vec::with_capacity(experts);
-        for i in 0..experts {
-            let b = &chunk[i * 4..(i + 1) * 4];
-            counts.push(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize);
-        }
-        let total: usize = counts.iter().sum();
-        let payload = &chunk[experts * 4..];
+        peer: usize,
+        tag: u64,
+    ) -> Result<Vec<Tensor>, FabricError> {
+        let corrupt = || FabricError::Corrupt { peer, tag };
+        let header = experts
+            .checked_mul(4)
+            .filter(|&len| len <= chunk.len())
+            .ok_or_else(corrupt)?;
+        let (head, payload) = chunk.split_at(header);
+        let counts: Vec<usize> = head
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
+            .collect();
+        let values = counts
+            .iter()
+            .try_fold(0usize, |acc, &c| acc.checked_add(c))
+            .and_then(|rows| rows.checked_mul(m))
+            .filter(|&v| v <= payload.len().saturating_mul(MAX_VALUES_PER_BYTE))
+            .ok_or_else(corrupt)?;
         let flat = compressor
-            .decompress(payload, total * m)
-            .expect("peer encodes with the same codec");
-        let mut out = Vec::with_capacity(experts);
+            .decompress(payload, values)
+            .ok()
+            .filter(|f| f.len() == values)
+            .ok_or_else(corrupt)?;
         let mut off = 0usize;
-        for &c in &counts {
-            let rows = Tensor::from_vec(flat[off * m..(off + c) * m].to_vec(), &[c, m])
-                .expect("framing consistent");
-            off += c;
-            out.push(rows);
-        }
-        out
+        Ok(counts
+            .iter()
+            .map(|&c| {
+                let rows = Tensor::from_vec(flat[off * m..(off + c) * m].to_vec(), &[c, m])
+                    .expect("sized by the header");
+                off += c;
+                rows
+            })
+            .collect())
     }
 
-    /// Raw (uncompressed) encode used for gradient exchanges.
-    fn encode_raw(per_expert_rows: &[Tensor]) -> Bytes {
-        let mut buf = BytesMut::new();
-        for rows in per_expert_rows {
-            buf.extend_from_slice(&(rows.dims()[0] as u32).to_le_bytes());
-            for &v in rows.data() {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        buf.freeze()
+    /// Decodes one exchange's chunks into `[peer][k]` row blocks:
+    /// `experts(peer)` from each peer, where a peer that sent nothing
+    /// reads as that many empty blocks.
+    fn decode_all(
+        compressor: &dyn Compressor,
+        received: &[Option<Bytes>],
+        experts: impl Fn(usize) -> usize,
+        m: usize,
+        tag: u64,
+    ) -> Result<Vec<Vec<Tensor>>, FabricError> {
+        received
+            .iter()
+            .enumerate()
+            .map(|(peer, chunk)| match chunk {
+                Some(c) => Self::decode_chunk(compressor, c, experts(peer), m, peer, tag),
+                None => Ok(vec![Tensor::zeros(&[0, m]); experts(peer)]),
+            })
+            .collect()
     }
 
-    fn decode_raw(chunk: &Bytes, experts: usize, m: usize) -> Vec<Tensor> {
-        let mut out = Vec::with_capacity(experts);
-        let mut off = 0usize;
-        for _ in 0..experts {
-            let b = &chunk[off..off + 4];
-            let count = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
-            off += 4;
-            let mut data = Vec::with_capacity(count * m);
-            for _ in 0..count * m {
-                let b = &chunk[off..off + 4];
-                data.push(f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-                off += 4;
-            }
-            out.push(Tensor::from_vec(data, &[count, m]).expect("framing consistent"));
-        }
-        out
+    /// `D1·E·C2` for one chunk: decodes the rows every source dispatched
+    /// here, runs each served expert once on its src-major concatenation,
+    /// and encodes each source its slice of the outputs. Returns the
+    /// per-source output chunks, the decoded inputs `[src][k]`, and the
+    /// expert stage's wall time.
+    #[allow(clippy::type_complexity)]
+    fn serve(
+        compressor: &dyn Compressor,
+        route: &Route,
+        bodies: &mut Bodies<'_>,
+        received: &[Option<Bytes>],
+        (m, tag): (usize, u64),
+        chunk: Option<usize>,
+    ) -> Result<(Vec<Bytes>, Vec<Vec<Tensor>>, Duration), FabricError> {
+        let served = &route.served[route.me];
+        let recv_bytes: usize = received.iter().flatten().map(Bytes::len).sum();
+        let d1 = obs::span_sized("decode", stage("D1", chunk), recv_bytes as f64);
+        let decoded = Self::decode_all(compressor, received, |_| served.len(), m, tag)?;
+        let inputs: Vec<Tensor> = (0..served.len())
+            .map(|k| concat_rows(decoded.iter().map(|d| &d[k]), m))
+            .collect();
+        drop(d1);
+        let rows: usize = inputs.iter().map(|t| t.dims()[0]).sum();
+        let start = Instant::now();
+        let outputs: Vec<Tensor> = {
+            let _s = obs::span_sized("expert", stage("E", chunk), rows as f64);
+            served
+                .iter()
+                .zip(&inputs)
+                .map(|(&e, input)| bodies.get(e).forward(input))
+                .collect()
+        };
+        let service = start.elapsed();
+        let _c2 = obs::span_sized("encode", stage("C2", chunk), (rows * m * 4) as f64);
+        let mut before = vec![0usize; served.len()];
+        let back = decoded
+            .iter()
+            .map(|per_k| {
+                let parts: Vec<Tensor> = per_k
+                    .iter()
+                    .enumerate()
+                    .map(|(k, t)| {
+                        let count = t.dims()[0];
+                        before[k] += count;
+                        slice_rows(&outputs[k], before[k] - count, count)
+                    })
+                    .collect();
+                Self::encode_chunk(compressor, &parts)
+            })
+            .collect();
+        Ok((back, decoded, service))
     }
 
     /// Expert-parallel forward over the fabric.
     ///
-    /// `tag_base` namespaces this invocation; step it by [`TAG_STRIDE`]
-    /// between layer invocations on the same fabric. Dispatches to the
-    /// serial or overlapped implementation per the configured
-    /// [`partition_degree`](Self::partition_degree); both produce
-    /// bit-identical outputs.
-    ///
-    /// Degraded mode does not force the serial path: the per-chunk
-    /// exchanges are already direct tagged sends, so as long as at least
-    /// two ranks are live the overlapped pipeline simply routes around the
-    /// dead peers. Only a world shrunk to a single live rank (where there
-    /// is no communication left to overlap) falls back to serial.
+    /// `tag_base` namespaces this invocation; step it by
+    /// [`TAG_STRIDE`](schemoe_collectives::TAG_STRIDE) between layer
+    /// invocations on the same fabric. Runs the serial schedule at degree
+    /// 1 or with fewer than two live ranks (no communication left to
+    /// overlap), else the overlapped pipeline; both route by the same
+    /// table and produce bit-identical outputs.
     pub fn forward(
-        &mut self,
-        h: &mut RankHandle,
-        x: &Tensor,
-        tag_base: u64,
-    ) -> Result<Tensor, FabricError> {
-        if self.is_placed() {
-            // A non-static placement only ever coexists with a fully live,
-            // failover-free world (see `set_placement`), so the placed
-            // path dominates the degraded/failover dispatch below.
-            return self.forward_placed(h, x, tag_base);
-        }
-        let live = h.world_size() - self.dead_ranks.len();
-        if self.partition_degree <= 1 || live < 2 || self.has_failover() {
-            // Failover hosting speaks the serial path's hosted side lanes;
-            // the overlapped pipeline does not carry them, so any active
-            // route forces serial until handback.
-            self.forward_serial(h, x, tag_base)
-        } else {
-            self.forward_overlapped(h, x, tag_base)
-        }
-    }
-
-    /// The serial reference forward: one dispatch A2A, all experts, one
-    /// combine A2A, no overlap.
-    fn forward_serial(
-        &mut self,
-        h: &mut RankHandle,
-        x: &Tensor,
-        tag_base: u64,
-    ) -> Result<Tensor, FabricError> {
-        let p = h.world_size();
-        let m = x.dims()[1];
-        let n = x.dims()[0];
-        let epr = self.experts_per_rank;
-        // Degraded mode: record the quality warning (span + counter) and
-        // route around the dead ranks' experts.
-        let _degraded_span = self.is_degraded().then(|| {
-            obs::counters_for_rank(h.rank()).add_degraded_step();
-            obs::span(
-                "degraded",
-                format!("degraded step ({} dead)", self.dead_ranks.len()),
-            )
-        });
-        let decision = {
-            let _g = obs::span("gate", "gate");
-            if self.is_degraded() {
-                let mask = self.dead_expert_mask(p);
-                self.gate.forward_masked(x, Some(&mask))
-            } else {
-                self.gate.forward(x)
-            }
-        };
-        self.note_decision(h.rank(), p, &decision);
-
-        // Build one chunk per destination rank: this rank's admitted rows
-        // for each of the destination's local experts.
-        let chunks = {
-            let _s = obs::span_sized("encode", "C1", (n * m * 4) as f64);
-            let mut chunks = Vec::with_capacity(p);
-            for dst in 0..p {
-                let mut per_expert = Vec::with_capacity(epr);
-                for le in 0..epr {
-                    let e = dst * epr + le;
-                    let slots = &decision.expert_slots[e];
-                    let mut rows = Tensor::zeros(&[slots.len(), m]);
-                    for (s, &(t, _)) in slots.iter().enumerate() {
-                        rows.row_mut(s).copy_from_slice(x.row(t));
-                    }
-                    per_expert.push(rows);
-                }
-                chunks.push(Self::encode_chunk(self.compressor.as_ref(), &per_expert, m));
-            }
-            chunks
-        };
-        let dispatch_tag = tag_base;
-        let combine_tag = tag_base + TAG_STRIDE / 4;
-        // Hosted dispatch: the chunk routed to a dead-but-routed rank's
-        // experts goes to its failover host instead. Sends precede every
-        // receive on all ranks (channels are buffered), so the extra lane
-        // cannot deadlock the exchange below.
-        let routes = self.failover_routes();
-        for &(j, host) in &routes {
-            h.send(host, Self::hosted_tag(dispatch_tag, j), chunks[j].clone())?;
-        }
-        let sent_bytes: usize = chunks.iter().map(Bytes::len).sum();
-        let received = {
-            let _s = obs::span_sized("a2a", "A1", sent_bytes as f64);
-            if self.is_degraded() {
-                let empty = vec![Tensor::zeros(&[0, m]); epr];
-                let placeholder = Self::encode_chunk(self.compressor.as_ref(), &empty, m);
-                Self::exchange_live(
-                    h,
-                    chunks,
-                    dispatch_tag,
-                    &self.dead_ranks,
-                    &placeholder,
-                    self.recv_timeout,
-                )?
-            } else {
-                self.a2a.all_to_all(h, chunks, dispatch_tag)?
-            }
-        };
-        let recv_bytes: usize = received.iter().map(Bytes::len).sum();
-
-        // Decode: concatenate per local expert, src-major.
-        let d1 = obs::span_sized("decode", "D1", recv_bytes as f64);
-        let mut expert_inputs = Vec::with_capacity(epr);
-        let mut recv_counts = vec![Vec::with_capacity(p); epr];
-        let decoded: Vec<Vec<Tensor>> = received
-            .iter()
-            .map(|c| Self::decode_chunk(self.compressor.as_ref(), c, epr, m))
-            .collect();
-        for le in 0..epr {
-            let total: usize = decoded.iter().map(|d| d[le].dims()[0]).sum();
-            let mut input = Tensor::zeros(&[total, m]);
-            let mut off = 0;
-            for src_rows in decoded.iter().map(|d| &d[le]) {
-                let c = src_rows.dims()[0];
-                for r in 0..c {
-                    input.row_mut(off + r).copy_from_slice(src_rows.row(r));
-                }
-                off += c;
-            }
-            for d in &decoded {
-                recv_counts[le].push(d[le].dims()[0]);
-            }
-            expert_inputs.push(input);
-        }
-        drop(d1);
-
-        // Failover host phase: serve the dead wards' experts from the
-        // buddy replica. Every live rank (self included) shipped this rank
-        // its chunk for ward `j` on the hosted dispatch lane; concatenate
-        // src-major exactly as the ward itself would have, run the hosted
-        // experts, and ship each live src its slice back on the hosted
-        // combine lane.
-        let mut hosted_recv_counts: BTreeMap<usize, Vec<Vec<usize>>> = BTreeMap::new();
-        let mut hosted_inputs: BTreeMap<usize, Vec<Tensor>> = BTreeMap::new();
-        for (&j, wards) in self.hosted_experts.iter_mut() {
-            let _s = obs::span("expert", format!("E[host r{j}]"));
-            let mut decoded: Vec<Vec<Tensor>> = Vec::with_capacity(p);
-            for src in 0..p {
-                if self.dead_ranks.contains(&src) {
-                    decoded.push(vec![Tensor::zeros(&[0, m]); epr]);
-                } else {
-                    let chunk = match self.recv_timeout {
-                        Some(t) => h.recv_timeout(src, Self::hosted_tag(dispatch_tag, j), t)?,
-                        None => h.recv(src, Self::hosted_tag(dispatch_tag, j))?,
-                    };
-                    decoded.push(Self::decode_chunk(&*self.compressor, &chunk, epr, m));
-                }
-            }
-            let mut counts = vec![Vec::with_capacity(p); epr];
-            let mut outputs = Vec::with_capacity(epr);
-            let mut ward_inputs = Vec::with_capacity(epr);
-            for le in 0..epr {
-                let total: usize = decoded.iter().map(|d| d[le].dims()[0]).sum();
-                let mut input = Tensor::zeros(&[total, m]);
-                let mut off = 0;
-                for src_rows in decoded.iter().map(|d| &d[le]) {
-                    for r in 0..src_rows.dims()[0] {
-                        input.row_mut(off + r).copy_from_slice(src_rows.row(r));
-                    }
-                    off += src_rows.dims()[0];
-                }
-                for d in &decoded {
-                    counts[le].push(d[le].dims()[0]);
-                }
-                outputs.push(wards[le].forward(&input));
-                ward_inputs.push(input);
-            }
-            hosted_inputs.insert(j, ward_inputs);
-            for src in 0..p {
-                if self.dead_ranks.contains(&src) {
-                    continue;
-                }
-                let mut per_expert = Vec::with_capacity(epr);
-                for le in 0..epr {
-                    let before: usize = counts[le][..src].iter().sum();
-                    let count = counts[le][src];
-                    let mut rows = Tensor::zeros(&[count, m]);
-                    for r in 0..count {
-                        rows.row_mut(r).copy_from_slice(outputs[le].row(before + r));
-                    }
-                    per_expert.push(rows);
-                }
-                let chunk = Self::encode_chunk(&*self.compressor, &per_expert, m);
-                h.send(src, Self::hosted_tag(combine_tag, j), chunk)?;
-            }
-            hosted_recv_counts.insert(j, counts);
-        }
-
-        // Local expert computation.
-        let expert_rows: usize = expert_inputs.iter().map(|t| t.dims()[0]).sum();
-        let service_start = Instant::now();
-        let expert_outputs: Vec<Tensor> = {
-            let _s = obs::span_sized("expert", "E", expert_rows as f64);
-            expert_inputs
-                .iter()
-                .enumerate()
-                .map(|(le, input)| self.local_experts[le].forward(input))
-                .collect()
-        };
-        self.note_service(service_start.elapsed());
-
-        // Ship outputs back: chunk for src rank = its slice of each local
-        // expert's output.
-        let back_chunks = {
-            let _s = obs::span_sized("encode", "C2", (expert_rows * m * 4) as f64);
-            let mut back_chunks = Vec::with_capacity(p);
-            for src in 0..p {
-                let mut per_expert = Vec::with_capacity(epr);
-                for le in 0..epr {
-                    let before: usize = recv_counts[le][..src].iter().sum();
-                    let count = recv_counts[le][src];
-                    let mut rows = Tensor::zeros(&[count, m]);
-                    for r in 0..count {
-                        rows.row_mut(r)
-                            .copy_from_slice(expert_outputs[le].row(before + r));
-                    }
-                    per_expert.push(rows);
-                }
-                back_chunks.push(Self::encode_chunk(self.compressor.as_ref(), &per_expert, m));
-            }
-            back_chunks
-        };
-        let back_bytes: usize = back_chunks.iter().map(Bytes::len).sum();
-        let returned = {
-            let _s = obs::span_sized("a2a", "A2", back_bytes as f64);
-            if self.is_degraded() {
-                let empty = vec![Tensor::zeros(&[0, m]); epr];
-                let placeholder = Self::encode_chunk(self.compressor.as_ref(), &empty, m);
-                Self::exchange_live(
-                    h,
-                    back_chunks,
-                    combine_tag,
-                    &self.dead_ranks,
-                    &placeholder,
-                    self.recv_timeout,
-                )?
-            } else {
-                self.a2a.all_to_all(h, back_chunks, combine_tag)?
-            }
-        };
-
-        // Hosted combine: collect the routed dead owners' outputs from
-        // their hosts; they replace the zero-row placeholders below.
-        let mut hosted_returns: BTreeMap<usize, Bytes> = BTreeMap::new();
-        for &(j, host) in &routes {
-            let chunk = match self.recv_timeout {
-                Some(t) => h.recv_timeout(host, Self::hosted_tag(combine_tag, j), t)?,
-                None => h.recv(host, Self::hosted_tag(combine_tag, j))?,
-            };
-            hosted_returns.insert(j, chunk);
-        }
-
-        // Combine: the chunk from rank r holds outputs for the experts r
-        // owns, in this rank's slot order.
-        let d2 = obs::span_sized(
-            "decode",
-            "D2",
-            returned.iter().map(Bytes::len).sum::<usize>() as f64,
-        );
-        let mut y = Tensor::zeros(&[n, m]);
-        let mut returned_outputs: Vec<Tensor> = Vec::with_capacity(p * epr);
-        for owner in 0..p {
-            let chunk = hosted_returns.get(&owner).unwrap_or(&returned[owner]);
-            let outs = Self::decode_chunk(self.compressor.as_ref(), chunk, epr, m);
-            for (le, rows) in outs.into_iter().enumerate() {
-                let e = owner * epr + le;
-                let slots = &decision.expert_slots[e];
-                assert_eq!(rows.dims()[0], slots.len(), "combine framing mismatch");
-                for (s, &(t, w)) in slots.iter().enumerate() {
-                    let orow = rows.row(s);
-                    let yrow = y.row_mut(t);
-                    for (yj, &oj) in yrow.iter_mut().zip(orow.iter()) {
-                        *yj += w * oj;
-                    }
-                }
-                returned_outputs.push(rows);
-            }
-        }
-        drop(d2);
-        self.cache = Some(Cache {
-            decision,
-            recv_counts,
-            hosted_recv_counts,
-            hosted_inputs,
-            returned_outputs,
-            expert_inputs: Some(expert_inputs),
-            n,
-            tag_base,
-            served: None,
-        });
-        Ok(y)
-    }
-
-    /// The placed forward: the serial schedule with a load-aware routing
-    /// table. Each expert's admitted slots fan round-robin across its
-    /// replica set (slot `s` → server `s % g`), so a hot expert's rows
-    /// split over `g` ranks; a migrated expert's rows go to its new home.
-    ///
-    /// Bitwise properties: expert bodies are row-wise, each slot's output
-    /// row is computed from the same input row by an identical parameter
-    /// copy (the controller's per-expert gradient sync keeps home and
-    /// guests in lockstep), and the combine reassembles full slot order
-    /// before accumulating ascending-expert — so `y` is bit-identical to
-    /// the static serial forward for the same batch.
-    ///
-    /// Requires a fully live, failover-free world (`set_placement`
-    /// enforces this), so exchanges use the plain all-to-all.
-    fn forward_placed(
         &mut self,
         h: &mut RankHandle,
         x: &Tensor,
@@ -996,196 +956,62 @@ impl DistributedMoeLayer {
     ) -> Result<Tensor, FabricError> {
         let p = h.world_size();
         let me = h.rank();
-        let m = x.dims()[1];
-        let n = x.dims()[0];
-        let epr = self.experts_per_rank;
-        let pl = self
-            .placement
-            .clone()
-            .expect("placed forward without placement");
-        assert_eq!(
-            pl.n_experts(),
-            p * epr,
-            "placement must cover the routing table"
-        );
-        debug_assert!(
-            self.dead_ranks.is_empty() && !self.has_failover(),
-            "placed path requires a fully live world"
-        );
-        let served_lists: Vec<Vec<usize>> = (0..p).map(|r| pl.served_by(r)).collect();
-
+        let (n, m) = (x.dims()[0], x.dims()[1]);
+        let r = if self.serial(p) {
+            1
+        } else {
+            self.partition_degree
+        };
+        let _degraded_span = self.degraded_span(me);
+        let route = self.route(me, p);
         let decision = {
             let _g = obs::span("gate", "gate");
-            self.gate.forward(x)
+            let mask: Vec<bool> = route.servers.iter().map(Vec::is_empty).collect();
+            self.gate
+                .forward_masked(x, mask.contains(&true).then_some(&mask[..]))
         };
         self.note_decision(me, p, &decision);
-
-        // C1: one chunk per server rank — for each expert it serves, this
-        // rank's slot share for that server's replica position.
-        let chunks = {
-            let _s = obs::span_sized("encode", "C1", (n * m * 4) as f64);
-            let mut chunks = Vec::with_capacity(p);
-            for dst in 0..p {
-                let served = &served_lists[dst];
-                let mut per_expert = Vec::with_capacity(served.len());
-                for &e in served {
-                    let srv = pl.servers(e);
-                    let g = srv.len();
-                    let i = srv.iter().position(|&r| r == dst).expect("dst serves e");
-                    let slots = &decision.expert_slots[e];
-                    let count = Self::slot_share(slots.len(), i, g);
-                    let mut rows = Tensor::zeros(&[count, m]);
-                    for (row, sidx) in (i..slots.len()).step_by(g).enumerate() {
-                        rows.row_mut(row).copy_from_slice(x.row(slots[sidx].0));
-                    }
-                    per_expert.push(rows);
-                }
-                chunks.push(Self::encode_chunk(self.compressor.as_ref(), &per_expert, m));
-            }
-            chunks
+        let (chunk_inputs, chunk_returned, service) = if r == 1 {
+            self.forward_serial(h, x, &route, &decision, tag_base)?
+        } else {
+            self.forward_overlapped(h, x, &route, &decision, tag_base)?
         };
-        let dispatch_tag = tag_base;
-        let combine_tag = tag_base + TAG_STRIDE / 4;
-        let serves: Vec<bool> = served_lists.iter().map(|l| !l.is_empty()).collect();
-        let empty_chunk = Self::encode_chunk(self.compressor.as_ref(), &[], m);
-        let timeout = self.recv_timeout;
-        let sent_bytes: usize = chunks.iter().map(Bytes::len).sum();
-        let received = {
-            let _s = obs::span_sized("a2a", "A1", sent_bytes as f64);
-            Self::exchange_placed(
-                h,
-                chunks,
-                dispatch_tag,
-                true,
-                &serves,
-                &empty_chunk,
-                timeout,
-            )?
-        };
-        let recv_bytes: usize = received.iter().map(Bytes::len).sum();
+        self.service_us.push(service.as_micros() as u64);
 
-        // D1: concatenate per served expert, src-major — the same serial
-        // input order the backward's recompute grouping relies on.
-        let served = served_lists[me].clone();
-        let d1 = obs::span_sized("decode", "D1", recv_bytes as f64);
-        let decoded: Vec<Vec<Tensor>> = received
-            .iter()
-            .map(|c| Self::decode_chunk(self.compressor.as_ref(), c, served.len(), m))
-            .collect();
-        let mut expert_inputs = Vec::with_capacity(served.len());
-        let mut recv_counts = vec![Vec::with_capacity(p); served.len()];
-        for k in 0..served.len() {
-            let total: usize = decoded.iter().map(|d| d[k].dims()[0]).sum();
-            let mut input = Tensor::zeros(&[total, m]);
-            let mut off = 0;
-            for src_rows in decoded.iter().map(|d| &d[k]) {
-                for r in 0..src_rows.dims()[0] {
-                    input.row_mut(off + r).copy_from_slice(src_rows.row(r));
+        // Reassemble serial-order state. Received row counts sum over
+        // chunks; the serial expert input is src-major with each src's
+        // rows in slot order, i.e. its chunk segments in chunk order.
+        let served = route.served[me].len();
+        let mut recv_counts = vec![vec![0usize; p]; served];
+        for inputs in &chunk_inputs {
+            for (src, per_k) in inputs.iter().enumerate() {
+                for (k, t) in per_k.iter().enumerate() {
+                    recv_counts[k][src] += t.dims()[0];
                 }
-                off += src_rows.dims()[0];
             }
-            for d in &decoded {
-                recv_counts[k].push(d[k].dims()[0]);
-            }
-            expert_inputs.push(input);
         }
-        drop(d1);
-
-        // E: run each served expert — the local body when this rank is the
-        // static home, the installed guest body otherwise.
-        let expert_rows: usize = expert_inputs.iter().map(|t| t.dims()[0]).sum();
-        let service_start = Instant::now();
-        let expert_outputs: Vec<Tensor> = {
-            let _s = obs::span_sized("expert", "E", expert_rows as f64);
-            served
-                .iter()
-                .zip(expert_inputs.iter())
-                .map(|(&e, input)| {
-                    if e / epr == me {
-                        self.local_experts[e % epr].forward(input)
-                    } else {
-                        self.guest_experts
-                            .get_mut(&e)
-                            .expect("guest body installed for served expert")
-                            .forward(input)
-                    }
-                })
-                .collect()
-        };
-        self.note_service(service_start.elapsed());
-
-        // C2: ship each source its slice of every served expert's output.
-        let back_chunks = {
-            let _s = obs::span_sized("encode", "C2", (expert_rows * m * 4) as f64);
-            let mut back_chunks = Vec::with_capacity(p);
-            for src in 0..p {
-                let mut per_expert = Vec::with_capacity(served.len());
-                for k in 0..served.len() {
-                    let before: usize = recv_counts[k][..src].iter().sum();
-                    let count = recv_counts[k][src];
-                    let mut rows = Tensor::zeros(&[count, m]);
-                    for r in 0..count {
-                        rows.row_mut(r)
-                            .copy_from_slice(expert_outputs[k].row(before + r));
-                    }
-                    per_expert.push(rows);
-                }
-                back_chunks.push(Self::encode_chunk(self.compressor.as_ref(), &per_expert, m));
-            }
-            back_chunks
-        };
-        let back_bytes: usize = back_chunks.iter().map(Bytes::len).sum();
-        let returned = {
-            let _s = obs::span_sized("a2a", "A2", back_bytes as f64);
-            Self::exchange_placed(
-                h,
-                back_chunks,
-                combine_tag,
-                false,
-                &serves,
-                &empty_chunk,
-                timeout,
-            )?
-        };
-
-        // D2: reassemble each expert's full slot-order rows from its
-        // servers' shares, then combine ascending-expert — exactly the
-        // serial accumulation order (a token meets each expert at most
-        // once, so per-token addition order is unchanged).
-        let d2 = obs::span_sized(
-            "decode",
-            "D2",
-            returned.iter().map(Bytes::len).sum::<usize>() as f64,
-        );
-        let outs_per_rank: Vec<Vec<Tensor>> = returned
-            .iter()
-            .enumerate()
-            .map(|(r2, c)| {
-                Self::decode_chunk(self.compressor.as_ref(), c, served_lists[r2].len(), m)
+        let expert_inputs: Vec<Tensor> = (0..served)
+            .map(|k| {
+                let parts = (0..p).flat_map(|src| chunk_inputs.iter().map(move |ci| &ci[src][k]));
+                concat_rows(parts, m)
             })
             .collect();
+
+        // Combine: reassembling each expert's returned shares restores its
+        // full slot order, so the accumulation below — ascending expert,
+        // each token meeting an expert at most once — is the same
+        // computation whatever the schedule or server fan-out.
+        let mut returned_outputs: Vec<Tensor> = decision
+            .expert_slots
+            .iter()
+            .map(|slots| Tensor::zeros(&[slots.len(), m]))
+            .collect();
+        for (c, parts) in chunk_returned.iter().enumerate() {
+            let tag = chunk_tag(tag_base, lanes::LANE_COMBINE, c);
+            route.unshare(&decision, parts, (c, r), &mut returned_outputs, tag)?;
+        }
         let mut y = Tensor::zeros(&[n, m]);
-        let mut returned_outputs: Vec<Tensor> = Vec::with_capacity(p * epr);
-        for e in 0..p * epr {
-            let srv = pl.servers(e);
-            let g = srv.len();
-            let slots = &decision.expert_slots[e];
-            let mut rows = Tensor::zeros(&[slots.len(), m]);
-            for (i, &r2) in srv.iter().enumerate() {
-                let k = served_lists[r2]
-                    .iter()
-                    .position(|&se| se == e)
-                    .expect("server serves e");
-                let part = &outs_per_rank[r2][k];
-                assert_eq!(
-                    part.dims()[0],
-                    Self::slot_share(slots.len(), i, g),
-                    "combine framing mismatch"
-                );
-                for (row, sidx) in (i..slots.len()).step_by(g).enumerate() {
-                    rows.row_mut(sidx).copy_from_slice(part.row(row));
-                }
-            }
+        for (slots, rows) in decision.expert_slots.iter().zip(&returned_outputs) {
             for (s, &(t, w)) in slots.iter().enumerate() {
                 let orow = rows.row(s);
                 let yrow = y.row_mut(t);
@@ -1193,249 +1019,71 @@ impl DistributedMoeLayer {
                     *yj += w * oj;
                 }
             }
-            returned_outputs.push(rows);
         }
-        drop(d2);
         self.cache = Some(Cache {
             decision,
+            route,
             recv_counts,
-            hosted_recv_counts: BTreeMap::new(),
-            hosted_inputs: BTreeMap::new(),
             returned_outputs,
-            expert_inputs: Some(expert_inputs),
+            expert_inputs,
             n,
             tag_base,
-            served: Some(served),
         });
         Ok(y)
     }
 
-    /// The placed backward, mirroring [`forward_placed`]'s fan-out: output
-    /// grads travel to each slot's serving rank, every server
-    /// differentiates its share with the same canonical per-(expert,
-    /// source) recompute grouping as the serial path, and input grads
-    /// scatter back. `dx` and the gate grads are bit-identical to the
-    /// static serial backward (same per-token accumulation order); expert
-    /// weight grads are *partial* per server — the placement controller
-    /// sums them across each expert's sync group before stepping.
-    fn backward_placed(&mut self, h: &mut RankHandle, dy: &Tensor) -> Result<Tensor, FabricError> {
-        let cache = self
-            .cache
-            .take()
-            .expect("distributed backward without forward");
-        let served = cache
-            .served
-            .clone()
-            .expect("placed backward without placed forward");
-        let pl = self
-            .placement
-            .clone()
-            .expect("placement uninstalled between forward and backward");
+    /// The serial schedule: one dispatch exchange, all served experts, one
+    /// combine exchange, no overlap. Returns the decoded inputs
+    /// `[src][k]` and returned outputs `[server][k]` as a single chunk,
+    /// plus the expert stage's wall time.
+    #[allow(clippy::type_complexity)]
+    fn forward_serial(
+        &mut self,
+        h: &mut RankHandle,
+        x: &Tensor,
+        route: &Route,
+        decision: &GateDecision,
+        tag_base: u64,
+    ) -> Result<(Vec<Vec<Vec<Tensor>>>, Vec<Vec<Vec<Tensor>>>, Duration), FabricError> {
         let p = h.world_size();
-        let me = h.rank();
-        let m = dy.dims()[1];
-        let epr = self.experts_per_rank;
-        assert_eq!(dy.dims()[0], cache.n, "gradient row count mismatch");
-        debug_assert_eq!(pl.served_by(me), served, "placement changed mid-step");
-        let served_lists: Vec<Vec<usize>> = (0..p).map(|r| pl.served_by(r)).collect();
-
-        // C1b: per server, the output grads (w · dy) for its slot share of
-        // every expert it serves; plus the combine-weight grads, identical
-        // to the serial path (returned_outputs holds full slot order).
-        let c1b = obs::span_sized("encode", "C1b", (cache.n * m * 4) as f64);
-        let mut d_weights: Vec<Vec<f32>> = vec![Vec::new(); cache.n];
-        let mut grad_chunks = Vec::with_capacity(p);
-        for dst in 0..p {
-            let mut per_expert = Vec::with_capacity(served_lists[dst].len());
-            for &e in &served_lists[dst] {
-                let srv = pl.servers(e);
-                let g = srv.len();
-                let i = srv.iter().position(|&r| r == dst).expect("dst serves e");
-                let slots = &cache.decision.expert_slots[e];
-                let count = Self::slot_share(slots.len(), i, g);
-                let mut rows = Tensor::zeros(&[count, m]);
-                for (row, sidx) in (i..slots.len()).step_by(g).enumerate() {
-                    let (t, w) = slots[sidx];
-                    let dyrow = dy.row(t);
-                    let drow = rows.row_mut(row);
-                    for j in 0..m {
-                        drow[j] = w * dyrow[j];
-                    }
-                }
-                per_expert.push(rows);
-            }
-            grad_chunks.push(Self::encode_raw(&per_expert));
-        }
-        for (t, assigns) in cache.decision.assignments.iter().enumerate() {
-            for &(e, _) in assigns {
-                let s = cache.decision.expert_slots[e]
-                    .iter()
-                    .position(|&(tt, _)| tt == t)
-                    .expect("assignment implies slot");
-                let rows = &cache.returned_outputs[e];
-                let dyrow = dy.row(t);
-                let orow = rows.row(s);
-                d_weights[t].push(dyrow.iter().zip(orow.iter()).map(|(a, b)| a * b).sum());
-            }
-        }
-        drop(c1b);
-
-        let bwd1_tag = cache.tag_base + TAG_STRIDE / 2;
-        let bwd2_tag = cache.tag_base + 3 * TAG_STRIDE / 4;
-        let serves: Vec<bool> = served_lists.iter().map(|l| !l.is_empty()).collect();
-        let empty_raw = Self::encode_raw(&[]);
-        let timeout = self.recv_timeout;
-        let grad_bytes: usize = grad_chunks.iter().map(Bytes::len).sum();
-        let received = {
-            let _s = obs::span_sized("a2a", "A1b", grad_bytes as f64);
-            Self::exchange_placed(h, grad_chunks, bwd1_tag, true, &serves, &empty_raw, timeout)?
+        let (n, m) = (x.dims()[0], x.dims()[1]);
+        let compressor = self.compressor.as_ref();
+        let a2a = Some(self.a2a.as_ref());
+        let chunks: Vec<Bytes> = {
+            let _s = obs::span_sized("encode", "C1", (n * m * 4) as f64);
+            (0..p)
+                .map(|dst| {
+                    let rows = route.gather(decision, dst, (0, 1), m, |row, (t, _)| {
+                        row.copy_from_slice(x.row(t))
+                    });
+                    Self::encode_chunk(compressor, &rows)
+                })
+                .collect()
         };
-
-        // Eb: canonical per-(expert, source) recompute + backward on the
-        // serving body, sources ascending — the same call sequence the
-        // static home would have made for these rows.
-        let recv_grad_bytes: usize = received.iter().map(Bytes::len).sum();
-        let d1b = obs::span_sized("decode", "D1b", recv_grad_bytes as f64);
-        let decoded: Vec<Vec<Tensor>> = received
-            .iter()
-            .map(|c| Self::decode_raw(c, served.len(), m))
-            .collect();
-        drop(d1b);
-        let dout_rows: usize = cache
-            .recv_counts
-            .iter()
-            .map(|c| c.iter().sum::<usize>())
-            .sum();
-        let eb = obs::span_sized("expert", "Eb", dout_rows as f64);
-        let inputs = cache
-            .expert_inputs
-            .as_ref()
-            .expect("forward caches expert inputs");
-        let mut din_per_expert: Vec<Tensor> = (0..served.len())
-            .map(|k| {
-                let total: usize = cache.recv_counts[k].iter().sum();
-                Tensor::zeros(&[total, m])
-            })
-            .collect();
-        for src in 0..p {
-            for (k, &e) in served.iter().enumerate() {
-                let count = cache.recv_counts[k][src];
-                assert_eq!(
-                    decoded[src][k].dims()[0],
-                    count,
-                    "gradient framing mismatch"
-                );
-                if count == 0 {
-                    continue;
-                }
-                let before: usize = cache.recv_counts[k][..src].iter().sum();
-                let mut xin = Tensor::zeros(&[count, m]);
-                for row in 0..count {
-                    xin.row_mut(row)
-                        .copy_from_slice(inputs[k].row(before + row));
-                }
-                let body: &mut dyn Expert = if e / epr == me {
-                    self.local_experts[e % epr].as_mut()
-                } else {
-                    self.guest_experts
-                        .get_mut(&e)
-                        .expect("guest body installed for served expert")
-                        .as_mut()
-                };
-                let _ = body.forward(&xin);
-                let din = body.backward(&decoded[src][k]);
-                for row in 0..count {
-                    din_per_expert[k]
-                        .row_mut(before + row)
-                        .copy_from_slice(din.row(row));
-                }
-            }
-        }
-        drop(eb);
-
-        // C2b: input grads back to the token owners.
-        let c2b = obs::span_sized("encode", "C2b", (dout_rows * m * 4) as f64);
-        let mut back = Vec::with_capacity(p);
-        for src in 0..p {
-            let mut per_expert = Vec::with_capacity(served.len());
-            for k in 0..served.len() {
-                let before: usize = cache.recv_counts[k][..src].iter().sum();
-                let count = cache.recv_counts[k][src];
-                let mut rows = Tensor::zeros(&[count, m]);
-                for r in 0..count {
-                    rows.row_mut(r)
-                        .copy_from_slice(din_per_expert[k].row(before + r));
-                }
-                per_expert.push(rows);
-            }
-            back.push(Self::encode_raw(&per_expert));
-        }
-        drop(c2b);
+        let tag = chunk_tag(tag_base, lanes::LANE_DISPATCH, 0);
+        let sent_bytes: usize = chunks.iter().map(Bytes::len).sum();
+        let received = {
+            let _s = obs::span_sized("a2a", "A1", sent_bytes as f64);
+            Self::exchange(h, a2a, chunks, tag, true, route, self.recv_timeout)?
+        };
+        let mut bodies = Bodies {
+            me: route.me,
+            epr: self.experts_per_rank,
+            local: &mut self.local_experts,
+            guests: &mut self.guest_experts,
+        };
+        let (back, inputs, service) =
+            Self::serve(compressor, route, &mut bodies, &received, (m, tag), None)?;
+        let tag = chunk_tag(tag_base, lanes::LANE_COMBINE, 0);
         let back_bytes: usize = back.iter().map(Bytes::len).sum();
         let returned = {
-            let _s = obs::span_sized("a2a", "A2b", back_bytes as f64);
-            Self::exchange_placed(h, back, bwd2_tag, false, &serves, &empty_raw, timeout)?
+            let _s = obs::span_sized("a2a", "A2", back_bytes as f64);
+            Self::exchange(h, a2a, back, tag, false, route, self.recv_timeout)?
         };
-
-        // D2b: scatter token grads, ascending-expert so the per-token
-        // addition order matches the serial backward bit for bit.
-        let d2b = obs::span_sized(
-            "decode",
-            "D2b",
-            returned.iter().map(Bytes::len).sum::<usize>() as f64,
-        );
-        let dins_per_rank: Vec<Vec<Tensor>> = returned
-            .iter()
-            .enumerate()
-            .map(|(r2, c)| Self::decode_raw(c, served_lists[r2].len(), m))
-            .collect();
-        let mut dx = Tensor::zeros(&[cache.n, m]);
-        for e in 0..p * epr {
-            let srv = pl.servers(e);
-            let g = srv.len();
-            let slots = &cache.decision.expert_slots[e];
-            for (i, &r2) in srv.iter().enumerate() {
-                let k = served_lists[r2]
-                    .iter()
-                    .position(|&se| se == e)
-                    .expect("server serves e");
-                let part = &dins_per_rank[r2][k];
-                assert_eq!(
-                    part.dims()[0],
-                    Self::slot_share(slots.len(), i, g),
-                    "input-grad framing mismatch"
-                );
-                for (row, sidx) in (i..slots.len()).step_by(g).enumerate() {
-                    let t = slots[sidx].0;
-                    let drow = part.row(row);
-                    let xrow = dx.row_mut(t);
-                    for j in 0..m {
-                        xrow[j] += drow[j];
-                    }
-                }
-            }
-        }
-        drop(d2b);
-        let dx_gate = {
-            let _g = obs::span("gate", "gateb");
-            self.gate.backward(&d_weights)
-        };
-        dx.add_assign(&dx_gate).expect("same shape");
-        Ok(dx)
-    }
-
-    /// Direct per-chunk exchange used by the overlapped pipeline, with an
-    /// optional liveness deadline on every receive.
-    fn exchange(
-        h: &mut RankHandle,
-        chunks: Vec<Bytes>,
-        tag: u64,
-        timeout: Option<Duration>,
-    ) -> Result<Vec<Bytes>, FabricError> {
-        match timeout {
-            Some(t) => reference_all_to_all_timeout(h, chunks, tag, t),
-            None => reference_all_to_all(h, chunks, tag),
-        }
+        let returned_bytes: usize = returned.iter().flatten().map(Bytes::len).sum();
+        let _d2 = obs::span_sized("decode", "D2", returned_bytes as f64);
+        let outputs = Self::decode_all(compressor, &returned, |s| route.served[s].len(), m, tag)?;
+        Ok((vec![inputs], vec![outputs], service))
     }
 
     /// ScheMoE's pipelined forward: `r = partition_degree` chunks run the
@@ -1450,61 +1098,36 @@ impl DistributedMoeLayer {
     /// expert bodies are row-wise, so per-row outputs do not depend on
     /// batch composition; and the combine reassembles the returned
     /// segments into full slot order before accumulating in exactly the
-    /// serial loop's owner-major order.
+    /// serial loop's order.
     ///
     /// The per-chunk exchanges are direct tagged sends at
     /// `chunk_tag(tag_base, lane, c)` — with `r` exchanges in flight per
     /// lane, structured A2A algorithms (which assume exclusive tag windows
-    /// and whole-layer payloads) do not apply. That is also why degraded
-    /// mode composes with overlap: each per-chunk exchange independently
-    /// skips dead peers ([`exchange_live`](Self::exchange_live)) and
-    /// substitutes zero-row placeholders, while the masked gate guarantees
-    /// no rows were routed to a dead rank's experts in the first place.
+    /// and whole-layer payloads) do not apply. Each exchange follows the
+    /// routing table like the serial one, so dead peers, failover hosts,
+    /// replica fan-out and non-serving ranks all compose with overlap.
+    #[allow(clippy::type_complexity)]
     fn forward_overlapped(
         &mut self,
         h: &mut RankHandle,
         x: &Tensor,
+        route: &Route,
+        decision: &GateDecision,
         tag_base: u64,
-    ) -> Result<Tensor, FabricError> {
+    ) -> Result<(Vec<Vec<Vec<Tensor>>>, Vec<Vec<Vec<Tensor>>>, Duration), FabricError> {
         let r = self.partition_degree;
         let p = h.world_size();
-        let m = x.dims()[1];
-        let n = x.dims()[0];
-        let epr = self.experts_per_rank;
+        let (n, m) = (x.dims()[0], x.dims()[1]);
         let timeout = self.recv_timeout;
-        // Degraded mode: record the quality warning (span + counter) and
-        // route around the dead ranks' experts, exactly as the serial path.
-        let _degraded_span = self.is_degraded().then(|| {
-            obs::counters_for_rank(h.rank()).add_degraded_step();
-            obs::span(
-                "degraded",
-                format!("degraded step ({} dead)", self.dead_ranks.len()),
-            )
-        });
-        let decision = {
-            let _g = obs::span("gate", "gate");
-            if self.is_degraded() {
-                let mask = self.dead_expert_mask(p);
-                self.gate.forward_masked(x, Some(&mask))
-            } else {
-                self.gate.forward(x)
-            }
-        };
-        self.note_decision(h.rank(), p, &decision);
-        let decision_ref = &decision;
-
         // Field split: pipeline closures share the compressor immutably
-        // while the expert list is handed to the compute stages mutably.
+        // while the expert bodies are handed to the compute stages mutably.
         let compressor: &dyn Compressor = self.compressor.as_ref();
-        let dead = &self.dead_ranks;
-        // With dead peers, every per-chunk exchange swaps their inbound
-        // chunks for this encoding of zero rows per local expert.
-        let placeholder = (!self.dead_ranks.is_empty()).then(|| {
-            let empty = vec![Tensor::zeros(&[0, m]); epr];
-            Self::encode_chunk(compressor, &empty, m)
+        let bodies = Mutex::new(Bodies {
+            me: route.me,
+            epr: self.experts_per_rank,
+            local: &mut self.local_experts,
+            guests: &mut self.guest_experts,
         });
-        let placeholder = placeholder.as_ref();
-        let experts = Mutex::new(&mut self.local_experts);
         let handle = Mutex::new(h);
 
         // Single-producer single-consumer mailboxes between stages, one
@@ -1512,20 +1135,21 @@ impl DistributedMoeLayer {
         let mailbox = |count: usize| -> Vec<Mutex<Option<Vec<Bytes>>>> {
             (0..count).map(|_| Mutex::new(None)).collect()
         };
+        let exchanged = |count: usize| -> Vec<Mutex<Option<Vec<Option<Bytes>>>>> {
+            (0..count).map(|_| Mutex::new(None)).collect()
+        };
         let to_dispatch = mailbox(r);
-        let dispatched = mailbox(r);
+        let dispatched = exchanged(r);
         let to_combine = mailbox(r);
-        let combined = mailbox(r);
-        // Per chunk: decoded dispatch payloads `[src][le]` (kept for the
+        let combined = exchanged(r);
+        // Per chunk: decoded dispatch payloads `[src][k]` (kept for the
         // backward's serial-order input reassembly) and decoded combine
-        // payloads `[owner][le]`.
+        // payloads `[server][k]`.
         let chunk_inputs: Vec<Mutex<Option<Vec<Vec<Tensor>>>>> =
             (0..r).map(|_| Mutex::new(None)).collect();
         let chunk_returned: Vec<Mutex<Option<Vec<Vec<Tensor>>>>> =
             (0..r).map(|_| Mutex::new(None)).collect();
-        // First fabric error wins; later tasks short-circuit on it, and the
-        // cancel flag tells the executor to skip queued lanes outright —
-        // one dead peer must cost one receive deadline, not one per lane.
+        let service = Mutex::new(Duration::ZERO);
         let error: Mutex<Option<FabricError>> = Mutex::new(None);
         let cancel = AtomicBool::new(false);
 
@@ -1548,62 +1172,33 @@ impl DistributedMoeLayer {
                         format!("C1[c{c}]"),
                         (n * m * 4) as f64 / r as f64,
                     );
-                    let mut chunks = Vec::with_capacity(p);
-                    for dst in 0..p {
-                        let mut per_expert = Vec::with_capacity(epr);
-                        for le in 0..epr {
-                            let slots = &decision_ref.expert_slots[dst * epr + le];
-                            let seg = &slots[c * slots.len() / r..(c + 1) * slots.len() / r];
-                            let mut rows = Tensor::zeros(&[seg.len(), m]);
-                            for (s, &(t, _)) in seg.iter().enumerate() {
-                                rows.row_mut(s).copy_from_slice(x.row(t));
-                            }
-                            per_expert.push(rows);
-                        }
-                        chunks.push(Self::encode_chunk(compressor, &per_expert, m));
-                    }
+                    let chunks = (0..p)
+                        .map(|dst| {
+                            let rows = route.gather(decision, dst, (c, r), m, |row, (t, _)| {
+                                row.copy_from_slice(x.row(t))
+                            });
+                            Self::encode_chunk(compressor, &rows)
+                        })
+                        .collect();
                     *to_dispatch.lock() = Some(chunks);
                 }),
             });
         }
-        for c in 0..r {
-            let to_dispatch = &to_dispatch[c];
-            let dispatched = &dispatched[c];
-            let handle = &handle;
-            let error = &error;
-            let cancel = &cancel;
-            tasks.push(ExecTask {
-                worker: Worker::Comm,
-                deps: vec![c],
-                span: None,
-                run: Box::new(move || {
-                    let Some(chunks) = to_dispatch.lock().take() else {
-                        return;
-                    };
-                    let bytes: usize = chunks.iter().map(Bytes::len).sum();
-                    let _s = obs::span_sized("a2a", format!("A1[c{c}]"), bytes as f64);
-                    let tag = chunk_tag(tag_base, lanes::LANE_DISPATCH, c);
-                    let result = match placeholder {
-                        Some(ph) => {
-                            Self::exchange_live(&mut handle.lock(), chunks, tag, dead, ph, timeout)
-                        }
-                        None => Self::exchange(&mut handle.lock(), chunks, tag, timeout),
-                    };
-                    match result {
-                        Ok(got) => *dispatched.lock() = Some(got),
-                        Err(e) => {
-                            error.lock().get_or_insert(e);
-                            cancel.store(true, Ordering::Release);
-                        }
-                    }
-                }),
-            });
+        for (c, (outbox, inbox)) in to_dispatch.iter().zip(&dispatched).enumerate() {
+            tasks.push(Self::exchange_task(
+                (&handle, &error, &cancel),
+                (outbox, inbox),
+                (chunk_tag(tag_base, lanes::LANE_DISPATCH, c), true),
+                (route, timeout),
+                (format!("A1[c{c}]"), c),
+            ));
         }
         for c in 0..r {
             let dispatched = &dispatched[c];
             let to_combine = &to_combine[c];
             let chunk_inputs = &chunk_inputs[c];
-            let experts = &experts;
+            let (bodies, service, error, cancel) = (&bodies, &service, &error, &cancel);
+            let tag = chunk_tag(tag_base, lanes::LANE_DISPATCH, c);
             tasks.push(ExecTask {
                 worker: Worker::Compute,
                 deps: vec![r + c],
@@ -1612,93 +1207,33 @@ impl DistributedMoeLayer {
                     let Some(received) = dispatched.lock().take() else {
                         return;
                     };
-                    let recv_bytes: usize = received.iter().map(Bytes::len).sum();
-                    let d1 = obs::span_sized("decode", format!("D1[c{c}]"), recv_bytes as f64);
-                    let decoded: Vec<Vec<Tensor>> = received
-                        .iter()
-                        .map(|ch| Self::decode_chunk(compressor, ch, epr, m))
-                        .collect();
-                    drop(d1);
-                    // Chunk expert input: src-major concat, the chunk-local
-                    // analogue of the serial layout.
-                    let mut experts_guard = experts.lock();
-                    let rows_total: usize = decoded.iter().flatten().map(|t| t.dims()[0]).sum();
-                    let e_span = obs::span_sized("expert", format!("E[c{c}]"), rows_total as f64);
-                    let mut outputs = Vec::with_capacity(epr);
-                    for le in 0..epr {
-                        let total: usize = decoded.iter().map(|d| d[le].dims()[0]).sum();
-                        let mut input = Tensor::zeros(&[total, m]);
-                        let mut off = 0;
-                        for src_rows in decoded.iter().map(|d| &d[le]) {
-                            for row in 0..src_rows.dims()[0] {
-                                input.row_mut(off + row).copy_from_slice(src_rows.row(row));
-                            }
-                            off += src_rows.dims()[0];
+                    let mut bodies = bodies.lock();
+                    match Self::serve(compressor, route, &mut bodies, &received, (m, tag), Some(c))
+                    {
+                        Ok((back, decoded, took)) => {
+                            *service.lock() += took;
+                            *to_combine.lock() = Some(back);
+                            *chunk_inputs.lock() = Some(decoded);
                         }
-                        outputs.push(experts_guard[le].forward(&input));
+                        Err(e) => fail(error, cancel, e),
                     }
-                    drop(e_span);
-                    drop(experts_guard);
-                    let c2 =
-                        obs::span_sized("encode", format!("C2[c{c}]"), (rows_total * m * 4) as f64);
-                    let mut back = Vec::with_capacity(p);
-                    for src in 0..p {
-                        let mut per_expert = Vec::with_capacity(epr);
-                        for le in 0..epr {
-                            let before: usize =
-                                decoded[..src].iter().map(|d| d[le].dims()[0]).sum();
-                            let count = decoded[src][le].dims()[0];
-                            let mut rows = Tensor::zeros(&[count, m]);
-                            for row in 0..count {
-                                rows.row_mut(row)
-                                    .copy_from_slice(outputs[le].row(before + row));
-                            }
-                            per_expert.push(rows);
-                        }
-                        back.push(Self::encode_chunk(compressor, &per_expert, m));
-                    }
-                    drop(c2);
-                    *to_combine.lock() = Some(back);
-                    *chunk_inputs.lock() = Some(decoded);
                 }),
             });
         }
-        for c in 0..r {
-            let to_combine = &to_combine[c];
-            let combined = &combined[c];
-            let handle = &handle;
-            let error = &error;
-            let cancel = &cancel;
-            tasks.push(ExecTask {
-                worker: Worker::Comm,
-                deps: vec![2 * r + c],
-                span: None,
-                run: Box::new(move || {
-                    let Some(chunks) = to_combine.lock().take() else {
-                        return;
-                    };
-                    let bytes: usize = chunks.iter().map(Bytes::len).sum();
-                    let _s = obs::span_sized("a2a", format!("A2[c{c}]"), bytes as f64);
-                    let tag = chunk_tag(tag_base, lanes::LANE_COMBINE, c);
-                    let result = match placeholder {
-                        Some(ph) => {
-                            Self::exchange_live(&mut handle.lock(), chunks, tag, dead, ph, timeout)
-                        }
-                        None => Self::exchange(&mut handle.lock(), chunks, tag, timeout),
-                    };
-                    match result {
-                        Ok(got) => *combined.lock() = Some(got),
-                        Err(e) => {
-                            error.lock().get_or_insert(e);
-                            cancel.store(true, Ordering::Release);
-                        }
-                    }
-                }),
-            });
+        for (c, (outbox, inbox)) in to_combine.iter().zip(&combined).enumerate() {
+            tasks.push(Self::exchange_task(
+                (&handle, &error, &cancel),
+                (outbox, inbox),
+                (chunk_tag(tag_base, lanes::LANE_COMBINE, c), false),
+                (route, timeout),
+                (format!("A2[c{c}]"), 2 * r + c),
+            ));
         }
         for c in 0..r {
             let combined = &combined[c];
             let chunk_returned = &chunk_returned[c];
+            let (error, cancel) = (&error, &cancel);
+            let tag = chunk_tag(tag_base, lanes::LANE_COMBINE, c);
             tasks.push(ExecTask {
                 worker: Worker::Compute,
                 deps: vec![3 * r + c],
@@ -1707,115 +1242,66 @@ impl DistributedMoeLayer {
                     let Some(returned) = combined.lock().take() else {
                         return;
                     };
-                    let bytes: usize = returned.iter().map(Bytes::len).sum();
+                    let bytes: usize = returned.iter().flatten().map(Bytes::len).sum();
                     let _s = obs::span_sized("decode", format!("D2[c{c}]"), bytes as f64);
-                    let decoded: Vec<Vec<Tensor>> = returned
-                        .iter()
-                        .map(|ch| Self::decode_chunk(compressor, ch, epr, m))
-                        .collect();
-                    *chunk_returned.lock() = Some(decoded);
+                    let experts = |s: usize| route.served[s].len();
+                    match Self::decode_all(compressor, &returned, experts, m, tag) {
+                        Ok(decoded) => *chunk_returned.lock() = Some(decoded),
+                        Err(e) => fail(error, cancel, e),
+                    }
                 }),
             });
         }
         let exec_result = run_overlapped_cancellable(tasks, &cancel);
-
-        // A comm lane that failed records its typed error in the mailbox
-        // and the dependent tasks skip; prefer that over the executor's
-        // panic report when both exist (the panic is usually downstream
-        // fallout of the fabric failure).
-        if let Some(e) = error.into_inner() {
-            return Err(e);
-        }
-        if let Err(e) = exec_result {
-            return Err(FabricError::Worker {
-                detail: e.to_string(),
-            });
-        }
-        let chunk_inputs: Vec<Vec<Vec<Tensor>>> = chunk_inputs
-            .into_iter()
-            .map(|mx| mx.into_inner().expect("pipeline completed"))
-            .collect();
-        let chunk_returned: Vec<Vec<Vec<Tensor>>> = chunk_returned
-            .into_iter()
-            .map(|mx| mx.into_inner().expect("pipeline completed"))
-            .collect();
-
-        // Reassemble serial-order state. Received row counts sum over
-        // chunks; serial expert input is src-major with each src's rows in
-        // slot order, i.e. its chunk segments concatenated in chunk order.
-        let mut recv_counts = vec![vec![0usize; p]; epr];
-        for inputs in &chunk_inputs {
-            for (src, per_le) in inputs.iter().enumerate() {
-                for le in 0..epr {
-                    recv_counts[le][src] += per_le[le].dims()[0];
-                }
-            }
-        }
-        let mut expert_inputs = Vec::with_capacity(epr);
-        for (le, counts) in recv_counts.iter().enumerate() {
-            let total: usize = counts.iter().sum();
-            let mut input = Tensor::zeros(&[total, m]);
-            let mut off = 0;
-            for src in 0..p {
-                for inputs in &chunk_inputs {
-                    let seg = &inputs[src][le];
-                    for row in 0..seg.dims()[0] {
-                        input.row_mut(off + row).copy_from_slice(seg.row(row));
-                    }
-                    off += seg.dims()[0];
-                }
-            }
-            expert_inputs.push(input);
-        }
-
-        // Combine, exactly as the serial loop: reassembling each expert's
-        // returned segments in chunk order restores full slot order, so the
-        // accumulation below is the serial computation verbatim.
-        let mut y = Tensor::zeros(&[n, m]);
-        let mut returned_outputs: Vec<Tensor> = Vec::with_capacity(p * epr);
-        for owner in 0..p {
-            for le in 0..epr {
-                let e = owner * epr + le;
-                let slots = &decision.expert_slots[e];
-                let mut rows = Tensor::zeros(&[slots.len(), m]);
-                let mut off = 0;
-                for returned in &chunk_returned {
-                    let seg = &returned[owner][le];
-                    for row in 0..seg.dims()[0] {
-                        rows.row_mut(off + row).copy_from_slice(seg.row(row));
-                    }
-                    off += seg.dims()[0];
-                }
-                assert_eq!(off, slots.len(), "combine framing mismatch");
-                for (s, &(t, w)) in slots.iter().enumerate() {
-                    let orow = rows.row(s);
-                    let yrow = y.row_mut(t);
-                    for (yj, &oj) in yrow.iter_mut().zip(orow.iter()) {
-                        *yj += w * oj;
-                    }
-                }
-                returned_outputs.push(rows);
-            }
-        }
-        self.cache = Some(Cache {
-            decision,
-            recv_counts,
-            hosted_recv_counts: BTreeMap::new(),
-            hosted_inputs: BTreeMap::new(),
-            returned_outputs,
-            expert_inputs: Some(expert_inputs),
-            n,
-            tag_base,
-            served: None,
-        });
-        Ok(y)
+        pipeline_outcome(error, exec_result)?;
+        let done =
+            |mx: Mutex<Option<Vec<Vec<Tensor>>>>| mx.into_inner().expect("pipeline completed");
+        Ok((
+            chunk_inputs.into_iter().map(done).collect(),
+            chunk_returned.into_iter().map(done).collect(),
+            service.into_inner(),
+        ))
     }
 
-    /// Expert-parallel backward: two more (gradient) all-to-alls.
+    /// One pipelined forward exchange as a comm-worker task: takes the
+    /// encoded chunks from `outbox` once task `dep` produced them, runs
+    /// [`exchange`](Self::exchange) on `tag`, and leaves the result in
+    /// `inbox` (or records the failure).
+    #[allow(clippy::type_complexity)]
+    fn exchange_task<'a, 'h: 'a>(
+        (handle, error, cancel): Shared<'a, 'h>,
+        (outbox, inbox): (
+            &'a Mutex<Option<Vec<Bytes>>>,
+            &'a Mutex<Option<Vec<Option<Bytes>>>>,
+        ),
+        (tag, to_servers): (u64, bool),
+        (route, timeout): (&'a Route, Option<Duration>),
+        (name, dep): (String, usize),
+    ) -> ExecTask<'a> {
+        ExecTask {
+            worker: Worker::Comm,
+            deps: vec![dep],
+            span: None,
+            run: Box::new(move || {
+                let Some(chunks) = outbox.lock().take() else {
+                    return;
+                };
+                let bytes: usize = chunks.iter().map(Bytes::len).sum();
+                let _s = obs::span_sized("a2a", name, bytes as f64);
+                let mut h = handle.lock();
+                match Self::exchange(&mut h, None, chunks, tag, to_servers, route, timeout) {
+                    Ok(got) => *inbox.lock() = Some(got),
+                    Err(e) => fail(error, cancel, e),
+                }
+            }),
+        }
+    }
+
+    /// Expert-parallel backward: two more (gradient) exchanges.
     ///
-    /// Dispatches to the serial or overlapped implementation under the
-    /// same condition as [`forward`](Self::forward); both produce
-    /// bit-identical gradients.
+    /// Runs the serial or overlapped schedule under the same condition as
+    /// [`forward`](Self::forward), mirroring the forward's routing; both
+    /// produce bit-identical gradients.
     ///
     /// # Panics
     ///
@@ -1827,12 +1313,11 @@ impl DistributedMoeLayer {
     /// [`backward`](Self::backward), optionally folding a replicated-
     /// parameter gradient allreduce into the same submitted task graph.
     ///
-    /// On the overlapped path the reduction is the comm worker's first
-    /// task, so it runs concurrently with the backward's compute stages
-    /// (the combine-gradient build); on the serial path it simply runs
-    /// first. Every rank must agree on whether an allreduce is attached —
-    /// the dispatch condition itself (degree, live count, failover) is
-    /// replicated state, so the path choice always agrees.
+    /// On the overlapped path the reduction is a comm-worker task, so it
+    /// runs concurrently with the backward's compute stages; on the serial
+    /// path it simply runs first. Every rank must agree on whether an
+    /// allreduce is attached — the schedule choice itself (degree, live
+    /// count) is replicated state, so the path choice always agrees.
     ///
     /// # Panics
     ///
@@ -1843,347 +1328,212 @@ impl DistributedMoeLayer {
         dy: &Tensor,
         allreduce: Option<GradAllreduce<'_>>,
     ) -> Result<Tensor, FabricError> {
-        if self.cache.as_ref().is_some_and(|c| c.served.is_some()) {
-            // The forward ran the placed path; mirror its fan-out. The
-            // reduction keeps the serial ordering: before the exchanges.
-            if let Some(ar) = allreduce {
-                allreduce_live(h, ar.values, ar.tag, ar.live)?;
-            }
-            return self.backward_placed(h, dy);
-        }
-        let live = h.world_size() - self.dead_ranks.len();
-        if self.partition_degree <= 1 || live < 2 || self.has_failover() {
+        let cache = self
+            .cache
+            .take()
+            .expect("distributed backward without forward");
+        assert_eq!(dy.dims()[0], cache.n, "gradient row count mismatch");
+        if self.serial(h.world_size()) {
             // Same ordering the overlapped graph gives the reduction:
             // before the backward's exchanges.
             if let Some(ar) = allreduce {
                 allreduce_live(h, ar.values, ar.tag, ar.live)?;
             }
-            self.backward_serial(h, dy)
+            self.backward_serial(h, dy, cache)
         } else {
-            self.backward_overlapped(h, dy, allreduce)
+            self.backward_overlapped(h, dy, cache, allreduce)
         }
     }
 
-    /// The serial reference backward: one gradient dispatch A2A, all
-    /// expert backwards, one gradient return A2A, no overlap.
-    fn backward_serial(&mut self, h: &mut RankHandle, dy: &Tensor) -> Result<Tensor, FabricError> {
-        let cache = self
-            .cache
-            .take()
-            .expect("distributed backward without forward");
-        let p = h.world_size();
-        let m = dy.dims()[1];
-        let epr = self.experts_per_rank;
-        assert_eq!(dy.dims()[0], cache.n, "gradient row count mismatch");
-
-        // Combine backward: per admitted slot, grad of the expert output
-        // and of the combine weight. Backward spans use `*b` names so the
-        // profiler's forward-stage models never ingest them.
-        let c1b = obs::span_sized("encode", "C1b", (cache.n * m * 4) as f64);
-        let mut d_weights: Vec<Vec<f32>> = vec![Vec::new(); cache.n];
-        let mut grad_chunks = Vec::with_capacity(p);
-        for owner in 0..p {
-            let mut per_expert = Vec::with_capacity(epr);
-            for le in 0..epr {
-                let e = owner * epr + le;
-                let slots = &cache.decision.expert_slots[e];
-                let mut rows = Tensor::zeros(&[slots.len(), m]);
-                for (s, &(t, w)) in slots.iter().enumerate() {
-                    let dyrow = dy.row(t);
-                    let drow = rows.row_mut(s);
-                    for j in 0..m {
-                        drow[j] = w * dyrow[j];
-                    }
-                }
-                per_expert.push(rows);
+    /// The output grads (`w · dy`) for the slots server `dst` handles,
+    /// encoded in the chunk wire format with the fp32 identity codec.
+    fn encode_grads(route: &Route, decision: &GateDecision, dy: &Tensor, dst: usize) -> Bytes {
+        let rows = route.gather(decision, dst, (0, 1), dy.dims()[1], |row, (t, w)| {
+            for (d, &g) in row.iter_mut().zip(dy.row(t)) {
+                *d = w * g;
             }
-            grad_chunks.push(Self::encode_raw(&per_expert));
-        }
-        // Weight grads in per-token assignment order.
-        for (t, assigns) in cache.decision.assignments.iter().enumerate() {
+        });
+        Self::encode_chunk(&NoCompression, &rows)
+    }
+
+    /// Combine-weight gradients, in per-token assignment order.
+    fn weight_grads(cache: &Cache, dy: &Tensor) -> Vec<Vec<f32>> {
+        let decision = &cache.decision;
+        let mut d_weights: Vec<Vec<f32>> = vec![Vec::new(); cache.n];
+        for (t, assigns) in decision.assignments.iter().enumerate() {
             for &(e, _) in assigns {
-                let s = cache.decision.expert_slots[e]
+                let s = decision.expert_slots[e]
                     .iter()
                     .position(|&(tt, _)| tt == t)
                     .expect("assignment implies slot");
-                let owner = self.owner_of(e);
-                let le = e % epr;
-                let rows = &cache.returned_outputs[owner * epr + le];
-                let dyrow = dy.row(t);
-                let orow = rows.row(s);
-                d_weights[t].push(dyrow.iter().zip(orow.iter()).map(|(a, b)| a * b).sum());
+                let orow = cache.returned_outputs[e].row(s);
+                d_weights[t].push(dy.row(t).iter().zip(orow).map(|(a, b)| a * b).sum());
             }
         }
+        d_weights
+    }
 
-        drop(c1b);
-        let bwd1_tag = cache.tag_base + TAG_STRIDE / 2;
-        let bwd2_tag = cache.tag_base + 3 * TAG_STRIDE / 4;
-        // Hosted backward dispatch: output grads for a routed dead owner's
-        // experts go to its failover host, mirroring the forward.
-        let routes = self.failover_routes();
-        for &(j, host) in &routes {
-            h.send(host, Self::hosted_tag(bwd1_tag, j), grad_chunks[j].clone())?;
-        }
-        let grad_bytes: usize = grad_chunks.iter().map(Bytes::len).sum();
-        let received = {
-            let _s = obs::span_sized("a2a", "A1b", grad_bytes as f64);
-            if self.is_degraded() {
-                let empty = vec![Tensor::zeros(&[0, m]); epr];
-                let placeholder = Self::encode_raw(&empty);
-                Self::exchange_live(
-                    h,
-                    grad_chunks,
-                    bwd1_tag,
-                    &self.dead_ranks,
-                    &placeholder,
-                    self.recv_timeout,
-                )?
-            } else {
-                self.a2a.all_to_all(h, grad_chunks, bwd1_tag)?
-            }
-        };
-
-        // Failover host phase (backward): differentiate the hosted wards'
-        // experts on the survivors' output grads and return the input
-        // grads, mirroring the forward's hosted lanes.
-        for (&j, wards) in self.hosted_experts.iter_mut() {
-            let _s = obs::span("expert", format!("Eb[host r{j}]"));
-            let counts = cache
-                .hosted_recv_counts
-                .get(&j)
-                .expect("hosted backward without hosted forward");
-            let mut decoded: Vec<Vec<Tensor>> = Vec::with_capacity(p);
-            for src in 0..p {
-                if self.dead_ranks.contains(&src) {
-                    decoded.push(vec![Tensor::zeros(&[0, m]); epr]);
-                } else {
-                    let chunk = match self.recv_timeout {
-                        Some(t) => h.recv_timeout(src, Self::hosted_tag(bwd1_tag, j), t)?,
-                        None => h.recv(src, Self::hosted_tag(bwd1_tag, j))?,
-                    };
-                    decoded.push(Self::decode_raw(&chunk, epr, m));
-                }
-            }
-            // Same canonical per-(expert, source) grouping the ward itself
-            // would have used, so the hosted expert's weight grads stay
-            // bit-identical to the dead rank's own.
-            let ward_inputs = cache
-                .hosted_inputs
-                .get(&j)
-                .expect("hosted backward without hosted forward");
-            let mut dins: Vec<Tensor> = (0..epr)
-                .map(|le| {
-                    let total: usize = counts[le].iter().sum();
-                    Tensor::zeros(&[total, m])
-                })
-                .collect();
-            for src in 0..p {
-                for le in 0..epr {
-                    let count = counts[le][src];
-                    if count == 0 {
-                        continue;
-                    }
-                    let before: usize = counts[le][..src].iter().sum();
-                    let mut xin = Tensor::zeros(&[count, m]);
-                    for row in 0..count {
-                        xin.row_mut(row)
-                            .copy_from_slice(ward_inputs[le].row(before + row));
-                    }
-                    let _ = wards[le].forward(&xin);
-                    let din = wards[le].backward(&decoded[src][le]);
-                    for row in 0..count {
-                        dins[le].row_mut(before + row).copy_from_slice(din.row(row));
-                    }
-                }
-            }
-            for src in 0..p {
-                if self.dead_ranks.contains(&src) {
-                    continue;
-                }
-                let mut per_expert = Vec::with_capacity(epr);
-                for le in 0..epr {
-                    let before: usize = counts[le][..src].iter().sum();
-                    let count = counts[le][src];
-                    let mut rows = Tensor::zeros(&[count, m]);
-                    for r in 0..count {
-                        rows.row_mut(r).copy_from_slice(dins[le].row(before + r));
-                    }
-                    per_expert.push(rows);
-                }
-                h.send(
-                    src,
-                    Self::hosted_tag(bwd2_tag, j),
-                    Self::encode_raw(&per_expert),
-                )?;
-            }
-        }
-
-        // Decode the received output grads (its own `D1b` span so the
-        // profiler models the gradient decode independently of the expert
-        // backward), then differentiate the experts on the concatenation.
-        let recv_grad_bytes: usize = received.iter().map(Bytes::len).sum();
-        let d1b = obs::span_sized("decode", "D1b", recv_grad_bytes as f64);
-        let decoded: Vec<Vec<Tensor>> = received
+    /// `Eb` for one source: recomputes and differentiates each served
+    /// expert on the rows `src` sent it — one recompute+backward per
+    /// non-empty (expert, source) group. Both schedules make exactly this
+    /// call sequence, sources ascending, so the weight-gradient
+    /// accumulation order is identical at every degree. A whole-batch
+    /// backward would fuse the sources into one GEMM and change the
+    /// floating-point grouping.
+    fn backprop_source(
+        bodies: &mut Bodies<'_>,
+        cache: &Cache,
+        src: usize,
+        grads: &[Tensor],
+        tag: u64,
+    ) -> Result<Vec<Tensor>, FabricError> {
+        let served = &cache.route.served[cache.route.me];
+        served
             .iter()
-            .map(|c| Self::decode_raw(c, epr, m))
-            .collect();
-        drop(d1b);
-        let dout_rows: usize = cache
-            .recv_counts
-            .iter()
-            .map(|c| c.iter().sum::<usize>())
-            .sum();
-        let eb = obs::span_sized("expert", "Eb", dout_rows as f64);
-        // Canonical expert backward: one recompute+backward per non-empty
-        // (expert, source) group, sources ascending. The overlapped
-        // backward makes exactly the same sequence of expert calls (its
-        // per-source tasks run in ascending order on one worker), so the
-        // weight-gradient accumulation order — and with it every gradient
-        // — is identical at any partition degree by construction. A
-        // whole-batch backward here would fuse the sources into one GEMM
-        // and change the floating-point grouping.
-        let inputs = cache
-            .expert_inputs
-            .as_ref()
-            .expect("forward caches expert inputs");
-        let mut din_per_expert: Vec<Tensor> = (0..epr)
-            .map(|le| {
-                let total: usize = cache.recv_counts[le].iter().sum();
-                Tensor::zeros(&[total, m])
-            })
-            .collect();
-        for src in 0..p {
-            for le in 0..epr {
-                let count = cache.recv_counts[le][src];
-                assert_eq!(
-                    decoded[src][le].dims()[0],
-                    count,
-                    "gradient framing mismatch"
-                );
+            .enumerate()
+            .map(|(k, &e)| {
+                let count = cache.recv_counts[k][src];
+                if grads[k].dims()[0] != count {
+                    return Err(FabricError::Corrupt { peer: src, tag });
+                }
                 if count == 0 {
-                    continue;
+                    return Ok(grads[k].clone());
                 }
-                let before: usize = cache.recv_counts[le][..src].iter().sum();
-                let mut xin = Tensor::zeros(&[count, m]);
-                for row in 0..count {
-                    xin.row_mut(row)
-                        .copy_from_slice(inputs[le].row(before + row));
-                }
-                let _ = self.local_experts[le].forward(&xin);
-                let din = self.local_experts[le].backward(&decoded[src][le]);
-                for row in 0..count {
-                    din_per_expert[le]
-                        .row_mut(before + row)
-                        .copy_from_slice(din.row(row));
-                }
-            }
-        }
+                let before: usize = cache.recv_counts[k][..src].iter().sum();
+                let body = bodies.get(e);
+                let _ = body.forward(&slice_rows(&cache.expert_inputs[k], before, count));
+                Ok(body.backward(&grads[k]))
+            })
+            .collect()
+    }
 
-        drop(eb);
-        // Ship input grads back to the token owners.
-        let c2b = obs::span_sized("encode", "C2b", (dout_rows * m * 4) as f64);
-        let mut back = Vec::with_capacity(p);
-        for src in 0..p {
-            let mut per_expert = Vec::with_capacity(epr);
-            for le in 0..epr {
-                let before: usize = cache.recv_counts[le][..src].iter().sum();
-                let count = cache.recv_counts[le][src];
-                let mut rows = Tensor::zeros(&[count, m]);
-                for r in 0..count {
-                    rows.row_mut(r)
-                        .copy_from_slice(din_per_expert[le].row(before + r));
-                }
-                per_expert.push(rows);
-            }
-            back.push(Self::encode_raw(&per_expert));
-        }
-        drop(c2b);
-        let back_bytes: usize = back.iter().map(Bytes::len).sum();
-        let returned = {
-            let _s = obs::span_sized("a2a", "A2b", back_bytes as f64);
-            if self.is_degraded() {
-                let empty = vec![Tensor::zeros(&[0, m]); epr];
-                let placeholder = Self::encode_raw(&empty);
-                Self::exchange_live(
-                    h,
-                    back,
-                    bwd2_tag,
-                    &self.dead_ranks,
-                    &placeholder,
-                    self.recv_timeout,
-                )?
-            } else {
-                self.a2a.all_to_all(h, back, bwd2_tag)?
-            }
-        };
-
-        // Hosted backward combine: input grads for tokens served by a
-        // failover host come back on the hosted lane.
-        let mut hosted_dins: BTreeMap<usize, Bytes> = BTreeMap::new();
-        for &(j, host) in &routes {
-            let chunk = match self.recv_timeout {
-                Some(t) => h.recv_timeout(host, Self::hosted_tag(bwd2_tag, j), t)?,
-                None => h.recv(host, Self::hosted_tag(bwd2_tag, j))?,
-            };
-            hosted_dins.insert(j, chunk);
-        }
-
-        // Dispatch backward: scatter token gradients.
-        let d2b = obs::span_sized(
-            "decode",
-            "D2b",
-            returned.iter().map(Bytes::len).sum::<usize>() as f64,
-        );
+    /// Scatters the input grads the servers returned (`dins[server][k]`)
+    /// onto the tokens, ascending expert — the per-token addition order of
+    /// every schedule — and adds the gate's input grads.
+    fn finish_backward(
+        &mut self,
+        cache: &Cache,
+        dins: &[Vec<Tensor>],
+        d_weights: &[Vec<f32>],
+        m: usize,
+        tag: u64,
+    ) -> Result<Tensor, FabricError> {
+        let decision = &cache.decision;
+        let mut rows: Vec<Tensor> = decision
+            .expert_slots
+            .iter()
+            .map(|slots| Tensor::zeros(&[slots.len(), m]))
+            .collect();
+        cache
+            .route
+            .unshare(decision, dins, (0, 1), &mut rows, tag)?;
         let mut dx = Tensor::zeros(&[cache.n, m]);
-        for owner in 0..p {
-            let chunk = hosted_dins.get(&owner).unwrap_or(&returned[owner]);
-            let outs = Self::decode_raw(chunk, epr, m);
-            for (le, rows) in outs.into_iter().enumerate() {
-                let e = owner * epr + le;
-                let slots = &cache.decision.expert_slots[e];
-                for (s, &(t, _)) in slots.iter().enumerate() {
-                    let drow = rows.row(s);
-                    let xrow = dx.row_mut(t);
-                    for j in 0..m {
-                        xrow[j] += drow[j];
-                    }
+        for (slots, rows) in decision.expert_slots.iter().zip(&rows) {
+            for (s, &(t, _)) in slots.iter().enumerate() {
+                for (xj, &dj) in dx.row_mut(t).iter_mut().zip(rows.row(s)) {
+                    *xj += dj;
                 }
             }
         }
-        drop(d2b);
         let dx_gate = {
             let _g = obs::span("gate", "gateb");
-            self.gate.backward(&d_weights)
+            self.gate.backward(d_weights)
         };
         dx.add_assign(&dx_gate).expect("same shape");
         Ok(dx)
     }
 
+    /// The serial backward: one gradient dispatch exchange, all expert
+    /// backwards, one gradient return exchange, no overlap.
+    fn backward_serial(
+        &mut self,
+        h: &mut RankHandle,
+        dy: &Tensor,
+        cache: Cache,
+    ) -> Result<Tensor, FabricError> {
+        let p = h.world_size();
+        let m = dy.dims()[1];
+        let route = &cache.route;
+        let a2a = Some(self.a2a.as_ref());
+        // Backward spans use `*b` names so the profiler's forward-stage
+        // models never ingest them.
+        let c1b = obs::span_sized("encode", "C1b", (cache.n * m * 4) as f64);
+        let grad_chunks: Vec<Bytes> = (0..p)
+            .map(|dst| Self::encode_grads(route, &cache.decision, dy, dst))
+            .collect();
+        let d_weights = Self::weight_grads(&cache, dy);
+        drop(c1b);
+        let tag = chunk_tag(cache.tag_base, lanes::LANE_BWD_GRAD, 0);
+        let grad_bytes: usize = grad_chunks.iter().map(Bytes::len).sum();
+        let received = {
+            let _s = obs::span_sized("a2a", "A1b", grad_bytes as f64);
+            Self::exchange(h, a2a, grad_chunks, tag, true, route, self.recv_timeout)?
+        };
+        let served = route.served[route.me].len();
+        let recv_bytes: usize = received.iter().flatten().map(Bytes::len).sum();
+        let grads = {
+            let _s = obs::span_sized("decode", "D1b", recv_bytes as f64);
+            Self::decode_all(&NoCompression, &received, |_| served, m, tag)?
+        };
+        let dout_rows: usize = cache.recv_counts.iter().flatten().sum();
+        let mut bodies = Bodies {
+            me: route.me,
+            epr: self.experts_per_rank,
+            local: &mut self.local_experts,
+            guests: &mut self.guest_experts,
+        };
+        let dins: Vec<Vec<Tensor>> = {
+            let _s = obs::span_sized("expert", "Eb", dout_rows as f64);
+            grads
+                .iter()
+                .enumerate()
+                .map(|(src, g)| Self::backprop_source(&mut bodies, &cache, src, g, tag))
+                .collect::<Result<_, _>>()?
+        };
+        let back: Vec<Bytes> = {
+            let _s = obs::span_sized("encode", "C2b", (dout_rows * m * 4) as f64);
+            dins.iter()
+                .map(|d| Self::encode_chunk(&NoCompression, d))
+                .collect()
+        };
+        let tag = chunk_tag(cache.tag_base, lanes::LANE_BWD_RETURN, 0);
+        let back_bytes: usize = back.iter().map(Bytes::len).sum();
+        let returned = {
+            let _s = obs::span_sized("a2a", "A2b", back_bytes as f64);
+            Self::exchange(h, a2a, back, tag, false, route, self.recv_timeout)?
+        };
+        let returned_bytes: usize = returned.iter().flatten().map(Bytes::len).sum();
+        let d2b = obs::span_sized("decode", "D2b", returned_bytes as f64);
+        let dins = Self::decode_all(&NoCompression, &returned, |s| route.served[s].len(), m, tag)?;
+        drop(d2b);
+        self.finish_backward(&cache, &dins, &d_weights, m, tag)
+    }
+
     /// ScheMoE's pipelined backward: gradients flow per *peer* through
     /// the two-worker overlap executor, so source rank `j`'s expert
     /// backward hides the exchanges of sources `> j`, with an optional
-    /// replicated-parameter allreduce as the comm worker's first task.
+    /// replicated-parameter allreduce on the comm worker.
     ///
     /// Task graph (compute worker order, then comm worker order; `p`
-    /// ranks, `q` live peers):
+    /// ranks, `S1`/`R1` to and from the peers that talk on the gradient
+    /// leg, `S2`/`R2` on the return leg — see [`Route::talks`]):
     ///
     /// ```text
     /// compute: C1b⁰..C1bᵖ⁻¹  dW  (D1b·Eb·C2b)⁰..(D1b·Eb·C2b)ᵖ⁻¹  D2b⁰..D2bᵖ⁻¹
-    /// comm   : S1¹..S1ᑫ  R1¹..R1ᑫ  [AR]  S2¹..S2ᑫ  R2¹..R2ᑫ
+    /// comm   : S1..  R1..  [AR]  S2..  R2..
     /// ```
     ///
     /// Unlike the forward, whose chunking follows `partition_degree`, the
     /// backward pipelines at per-source granularity: the canonical expert
-    /// backward is one recompute+backward per non-empty (expert, source)
-    /// group in ascending source order — exactly the serial backward's
-    /// grouping — so the weight-gradient accumulation order is identical
-    /// at every degree and the grads stay bit-identical while source
-    /// `j`'s expert backward overlaps the remaining exchanges. The comm
-    /// queue issues every send of a lane before any receive of it, and
-    /// sends depend only on local compute, so the order is deadlock-free
-    /// by construction. This rank's own chunks loop back through the
-    /// mailboxes (still encode/decode round-tripped, exactly like the
-    /// serial exchange's self-chunk) without touching the wire.
+    /// backward ([`backprop_source`](Self::backprop_source)) is exactly
+    /// the serial backward's grouping, so the grads stay bit-identical
+    /// while source `j`'s expert backward overlaps the remaining
+    /// exchanges. The comm queue issues every send of a lane before any
+    /// receive of it, and sends depend only on local compute, so the
+    /// order is deadlock-free by construction. This rank's own chunks loop
+    /// back through the mailboxes (still encode/decode round-tripped,
+    /// exactly like the serial exchange's self-chunk) without touching the
+    /// wire.
     ///
     /// The allreduce sits *between* the grad exchange (S1/R1) and the
     /// return exchange (S2/R2): putting it any earlier would stall every
@@ -2194,84 +1544,71 @@ impl DistributedMoeLayer {
         &mut self,
         h: &mut RankHandle,
         dy: &Tensor,
+        cache: Cache,
         allreduce: Option<GradAllreduce<'_>>,
     ) -> Result<Tensor, FabricError> {
-        let cache = self
-            .cache
-            .take()
-            .expect("distributed backward without forward");
         let p = h.world_size();
         let me = h.rank();
         let m = dy.dims()[1];
-        let epr = self.experts_per_rank;
         let n = cache.n;
         let timeout = self.recv_timeout;
-        assert_eq!(dy.dims()[0], n, "gradient row count mismatch");
-        let _degraded_span = self.is_degraded().then(|| {
-            obs::counters_for_rank(h.rank()).add_degraded_step();
-            obs::span(
-                "degraded",
-                format!("degraded step ({} dead)", self.dead_ranks.len()),
-            )
-        });
-
-        let tag_base = cache.tag_base;
+        let _degraded_span = self.degraded_span(me);
+        let cache_ref = &cache;
+        let route = &cache.route;
         let decision = &cache.decision;
-        let recv_counts = &cache.recv_counts;
-        let returned_outputs = &cache.returned_outputs;
-        let inputs = cache
-            .expert_inputs
-            .as_ref()
-            .expect("forward caches expert inputs");
-        let dead = &self.dead_ranks;
-        let experts = Mutex::new(&mut self.local_experts);
+        let grad_tag = |j: usize| chunk_tag(cache.tag_base, lanes::LANE_BWD_GRAD, j);
+        let return_tag = |j: usize| chunk_tag(cache.tag_base, lanes::LANE_BWD_RETURN, j);
+        let bodies = Mutex::new(Bodies {
+            me,
+            epr: self.experts_per_rank,
+            local: &mut self.local_experts,
+            guests: &mut self.guest_experts,
+        });
         let handle = Mutex::new(h);
 
-        // Live peers in ascending order; dead sources contribute zero-row
-        // groups locally and never touch the wire.
-        let others: Vec<usize> = (0..p).filter(|&j| j != me && !dead.contains(&j)).collect();
-        let q = others.len();
-        // Position of peer j in `others` (receive-task index lookup).
-        let pos = |j: usize| others.iter().position(|&o| o == j).expect("live peer");
-
-        // Mailboxes between stages, one per source/owner rank (single
-        // producer, single consumer, ordered by the executor's edges).
+        // Mailboxes between stages, one per peer (single producer, single
+        // consumer, ordered by the executor's edges).
         let mailbox = |count: usize| -> Vec<Mutex<Option<Bytes>>> {
             (0..count).map(|_| Mutex::new(None)).collect()
         };
-        // C1b[j] → S1/D1b[me]: encoded output grads for owner j's experts.
+        let blocks = |count: usize| -> Vec<Mutex<Option<Vec<Tensor>>>> {
+            (0..count).map(|_| Mutex::new(None)).collect()
+        };
+        // C1b[j] → S1 (or D1b[me]): encoded output grads for server j.
         let grad_chunks = mailbox(p);
         // R1[j] → D1b[j]: encoded output grads received from source j.
         let grad_recv = mailbox(p);
-        // D1b[j] → Eb[j]: decoded output grads `[le]` from source j.
-        let grads_decoded: Vec<Mutex<Option<Vec<Tensor>>>> =
-            (0..p).map(|_| Mutex::new(None)).collect();
-        // Eb[j] → C2b[j]: input grads `[le]` for source j's rows.
-        let din_rows: Vec<Mutex<Option<Vec<Tensor>>>> = (0..p).map(|_| Mutex::new(None)).collect();
-        // C2b[j] → S2/D2b[me]: encoded input grads for source j.
+        // D1b[j] → Eb[j]: decoded output grads `[k]` from source j.
+        let grads_decoded = blocks(p);
+        // Eb[j] → C2b[j]: input grads `[k]` for source j's rows.
+        let din_rows = blocks(p);
+        // C2b[j] → S2 (or D2b[me]): encoded input grads for source j.
         let back_chunks = mailbox(p);
-        // R2[j] → D2b[j]: encoded input grads returned by owner j.
+        // R2[j] → D2b[j]: encoded input grads returned by server j.
         let ret_recv = mailbox(p);
-        // D2b[j] → scatter: decoded input grads `[le]` from owner j.
-        let dins_decoded: Vec<Mutex<Option<Vec<Tensor>>>> =
-            (0..p).map(|_| Mutex::new(None)).collect();
+        // D2b[j] → scatter: decoded input grads `[k]` from server j.
+        let dins_decoded = blocks(p);
         let d_weights_box: Mutex<Option<Vec<Vec<f32>>>> = Mutex::new(None);
         let error: Mutex<Option<FabricError>> = Mutex::new(None);
         let cancel = AtomicBool::new(false);
+        let shared = (&handle, &error, &cancel);
+        let peers = |to_servers: bool, outbound: bool| -> Vec<usize> {
+            (0..p)
+                .filter(|&j| j != me)
+                .filter(|&j| {
+                    if outbound {
+                        route.talks(me, j, to_servers)
+                    } else {
+                        route.talks(j, me, to_servers)
+                    }
+                })
+                .collect()
+        };
 
-        // Task indices (base = 1 with an attached allreduce, else 0):
-        // C1bʲ = j, dW = p, S1ᵏ = p+1+k, R1ᵏ = p+1+q+k, AR = p+1+2q,
-        // then with t0 = p+1+2q+base:
-        // D1bʲ = t0+3j, Ebʲ = t0+3j+1, C2bʲ = t0+3j+2,
-        // S2ᵏ = t0+3p+k, R2ᵏ = t0+3p+q+k, D2bʲ = t0+3p+2q+j.
-        let base = usize::from(allreduce.is_some());
-        let t0 = p + 1 + 2 * q + base;
-        let mut tasks: Vec<ExecTask<'_>> = Vec::with_capacity(base + 4 * p + 4 * q + 1);
-        // C1b: per-owner combine-gradient build + raw encode. Identical
-        // per-slot arithmetic to the serial build, merely split by owner
-        // so owner j's send can start while owner j+1's grads still build.
-        for j in 0..p {
-            let grad_chunks = &grad_chunks[j];
+        let mut tasks: Vec<ExecTask<'_>> = Vec::new();
+        // C1b: per-server output-grad build + encode, so server j's send
+        // can start while server j+1's grads still build. Task index j.
+        for (j, outbox) in grad_chunks.iter().enumerate() {
             let error = &error;
             tasks.push(ExecTask {
                 worker: Worker::Compute,
@@ -2286,26 +1623,12 @@ impl DistributedMoeLayer {
                         format!("C1b[o{j}]"),
                         (n * m * 4) as f64 / p as f64,
                     );
-                    let mut per_expert = Vec::with_capacity(epr);
-                    for le in 0..epr {
-                        let slots = &decision.expert_slots[j * epr + le];
-                        let mut rows = Tensor::zeros(&[slots.len(), m]);
-                        for (s, &(t, w)) in slots.iter().enumerate() {
-                            let dyrow = dy.row(t);
-                            let drow = rows.row_mut(s);
-                            for i in 0..m {
-                                drow[i] = w * dyrow[i];
-                            }
-                        }
-                        per_expert.push(rows);
-                    }
-                    *grad_chunks.lock() = Some(Self::encode_raw(&per_expert));
+                    *outbox.lock() = Some(Self::encode_grads(route, decision, dy, j));
                 }),
             });
         }
-        // dW: whole-batch combine-weight gradients, in the serial path's
-        // per-token assignment order. Pushed after the C1b encodes so the
-        // comm lanes start as early as possible.
+        // dW: whole-batch combine-weight gradients. Pushed after the C1b
+        // encodes so the comm lanes start as early as possible.
         {
             let d_weights_box = &d_weights_box;
             let error = &error;
@@ -2317,94 +1640,42 @@ impl DistributedMoeLayer {
                     if error.lock().is_some() {
                         return;
                     }
-                    let mut d_weights: Vec<Vec<f32>> = vec![Vec::new(); n];
-                    for (t, assigns) in decision.assignments.iter().enumerate() {
-                        for &(e, _) in assigns {
-                            let s = decision.expert_slots[e]
-                                .iter()
-                                .position(|&(tt, _)| tt == t)
-                                .expect("assignment implies slot");
-                            let owner = e / epr;
-                            let le = e % epr;
-                            let rows = &returned_outputs[owner * epr + le];
-                            let dyrow = dy.row(t);
-                            let orow = rows.row(s);
-                            d_weights[t]
-                                .push(dyrow.iter().zip(orow.iter()).map(|(a, b)| a * b).sum());
-                        }
-                    }
-                    *d_weights_box.lock() = Some(d_weights);
+                    *d_weights_box.lock() = Some(Self::weight_grads(cache_ref, dy));
                 }),
             });
         }
-        // S1: per-peer output-grad send on the backward grad lane, as soon
-        // as that peer's C1b is encoded. Tags are receiver-indexed:
-        // message i→j travels on `chunk_tag(.., LANE_BWD_GRAD, j)`.
-        for &j in &others {
-            let grad_chunks = &grad_chunks[j];
-            let handle = &handle;
-            let error = &error;
-            let cancel = &cancel;
-            tasks.push(ExecTask {
-                worker: Worker::Comm,
-                deps: vec![j],
-                span: None,
-                run: Box::new(move || {
-                    let Some(chunk) = grad_chunks.lock().take() else {
-                        return;
-                    };
-                    let _s = obs::span_sized("a2a", format!("A1b[p{j}]"), chunk.len() as f64);
-                    let tag = chunk_tag(tag_base, lanes::LANE_BWD_GRAD, j);
-                    if let Err(e) = handle.lock().send(j, tag, chunk) {
-                        error.lock().get_or_insert(e);
-                        cancel.store(true, Ordering::Release);
-                    }
-                }),
-            });
+        // S1 / R1: the gradient leg, toward the servers. Tags are
+        // receiver-indexed: message i→j travels on `grad_tag(j)`. The
+        // `A1bw` wait spans stay outside the profiler's stem set:
+        // blocked-receive time measures peer skew, not wire cost.
+        for j in peers(true, true) {
+            tasks.push(Self::send_task(
+                shared,
+                &grad_chunks[j],
+                j,
+                grad_tag(j),
+                j,
+                "A1b",
+            ));
         }
-        // R1: per-peer output-grad receive, sources ascending, after every
-        // send (sends depend only on local compute, so this order cannot
-        // deadlock). The `A1bw` wait spans are deliberately outside the
-        // profiler's stem set: blocked-receive time measures peer skew,
-        // not wire cost, and must not pollute the A1b model.
-        for &j in &others {
-            let grad_recv = &grad_recv[j];
-            let handle = &handle;
-            let error = &error;
-            let cancel = &cancel;
-            tasks.push(ExecTask {
-                worker: Worker::Comm,
-                deps: vec![],
-                span: Some(("a2a", format!("A1bw[p{j}]"))),
-                run: Box::new(move || {
-                    if error.lock().is_some() {
-                        return;
-                    }
-                    let tag = chunk_tag(tag_base, lanes::LANE_BWD_GRAD, me);
-                    let result = {
-                        let mut hh = handle.lock();
-                        match timeout {
-                            Some(t) => hh.recv_timeout(j, tag, t),
-                            None => hh.recv(j, tag),
-                        }
-                    };
-                    match result {
-                        Ok(got) => *grad_recv.lock() = Some(got),
-                        Err(e) => {
-                            error.lock().get_or_insert(e);
-                            cancel.store(true, Ordering::Release);
-                        }
-                    }
-                }),
-            });
+        let mut r1 = vec![None; p];
+        for j in peers(true, false) {
+            r1[j] = Some(tasks.len());
+            tasks.push(Self::recv_task(
+                shared,
+                &grad_recv[j],
+                j,
+                grad_tag(me),
+                timeout,
+                "A1bw",
+            ));
         }
         // AR: the replicated-parameter allreduce, queued once the grad
         // exchange is through so it rides under the expert-backward chain
         // — the longest stretch where the comm worker has nothing to move.
         if let Some(ar) = allreduce {
             let handle = &handle;
-            let error = &error;
-            let cancel = &cancel;
+            let (error, cancel) = (&error, &cancel);
             tasks.push(ExecTask {
                 worker: Worker::Comm,
                 deps: vec![],
@@ -2414,88 +1685,72 @@ impl DistributedMoeLayer {
                         return;
                     }
                     if let Err(e) = allreduce_live(&mut handle.lock(), ar.values, ar.tag, ar.live) {
-                        error.lock().get_or_insert(e);
-                        cancel.store(true, Ordering::Release);
+                        fail(error, cancel, e);
                     }
                 }),
             });
         }
         // Per source j ascending: D1b[j] decodes j's output grads, Eb[j]
-        // recomputes and differentiates each local expert's (expert, j)
-        // group — the canonical grouping the serial backward also uses —
-        // and C2b[j] encodes the input grads straight back for j. Source
-        // j's expert backward thus overlaps every later source's traffic.
+        // differentiates every served expert's (expert, j) group, and
+        // C2b[j] encodes the input grads straight back for j. Source j's
+        // expert backward thus overlaps every later source's traffic. A
+        // source that sent nothing (dead, or this rank serves nothing)
+        // contributes empty groups.
+        let served = route.served[me].len();
+        let mut c2b = vec![0; p];
         for j in 0..p {
-            let is_dead = dead.contains(&j);
-            let d1b_deps = if j == me {
-                vec![j]
-            } else if is_dead {
-                vec![]
+            let (deps, inbox) = if j == me {
+                (Some(me), &grad_chunks[me])
             } else {
-                vec![p + 1 + q + pos(j)]
+                (r1[j], &grad_recv[j])
             };
-            let src_box = if j == me {
-                &grad_chunks[j]
-            } else {
-                &grad_recv[j]
-            };
+            let talks = deps.is_some();
             let grads_decoded = &grads_decoded[j];
+            let (error, cancel) = (&error, &cancel);
             tasks.push(ExecTask {
                 worker: Worker::Compute,
-                deps: d1b_deps,
+                deps: deps.into_iter().collect(),
                 span: None,
                 run: Box::new(move || {
-                    let decoded = if is_dead {
-                        // A dead source routed nothing here: zero rows per
-                        // expert, exactly the serial placeholder's decode.
-                        vec![Tensor::zeros(&[0, m]); epr]
-                    } else {
-                        let Some(ch) = src_box.lock().take() else {
-                            return;
-                        };
-                        let _s = obs::span_sized("decode", format!("D1b[s{j}]"), ch.len() as f64);
-                        Self::decode_raw(&ch, epr, m)
+                    if !talks {
+                        *grads_decoded.lock() = Some(vec![Tensor::zeros(&[0, m]); served]);
+                        return;
+                    }
+                    let Some(ch) = inbox.lock().take() else {
+                        return;
                     };
-                    *grads_decoded.lock() = Some(decoded);
+                    let _s = obs::span_sized("decode", format!("D1b[s{j}]"), ch.len() as f64);
+                    match Self::decode_chunk(&NoCompression, &ch, served, m, j, grad_tag(me)) {
+                        Ok(decoded) => *grads_decoded.lock() = Some(decoded),
+                        Err(e) => fail(error, cancel, e),
+                    }
                 }),
             });
             let din_rows = &din_rows[j];
-            let experts = &experts;
+            let bodies = &bodies;
+            let d1b = tasks.len() - 1;
             tasks.push(ExecTask {
                 worker: Worker::Compute,
-                deps: vec![t0 + 3 * j],
+                deps: vec![d1b],
                 span: None,
                 run: Box::new(move || {
                     let Some(grads) = grads_decoded.lock().take() else {
                         return;
                     };
-                    let rows_j: usize = (0..epr).map(|le| recv_counts[le][j]).sum();
+                    let rows_j: usize = cache_ref.recv_counts.iter().map(|c| c[j]).sum();
                     let _s = obs::span_sized("expert", format!("Eb[s{j}]"), rows_j as f64);
-                    let mut experts_guard = experts.lock();
-                    let mut dins = Vec::with_capacity(epr);
-                    for le in 0..epr {
-                        let count = recv_counts[le][j];
-                        assert_eq!(grads[le].dims()[0], count, "gradient framing mismatch");
-                        if count == 0 {
-                            dins.push(Tensor::zeros(&[0, m]));
-                            continue;
-                        }
-                        let before: usize = recv_counts[le][..j].iter().sum();
-                        let mut xin = Tensor::zeros(&[count, m]);
-                        for row in 0..count {
-                            xin.row_mut(row)
-                                .copy_from_slice(inputs[le].row(before + row));
-                        }
-                        let _ = experts_guard[le].forward(&xin);
-                        dins.push(experts_guard[le].backward(&grads[le]));
+                    let mut bodies = bodies.lock();
+                    match Self::backprop_source(&mut bodies, cache_ref, j, &grads, grad_tag(me)) {
+                        Ok(dins) => *din_rows.lock() = Some(dins),
+                        Err(e) => fail(error, cancel, e),
                     }
-                    *din_rows.lock() = Some(dins);
                 }),
             });
             let back_chunks = &back_chunks[j];
+            c2b[j] = tasks.len();
             tasks.push(ExecTask {
                 worker: Worker::Compute,
-                deps: vec![t0 + 3 * j + 1],
+                deps: vec![c2b[j] - 1],
                 span: None,
                 run: Box::new(move || {
                     let Some(dins) = din_rows.lock().take() else {
@@ -2504,141 +1759,133 @@ impl DistributedMoeLayer {
                     let rows_j: usize = dins.iter().map(|t| t.dims()[0]).sum();
                     let _s =
                         obs::span_sized("encode", format!("C2b[s{j}]"), (rows_j * m * 4) as f64);
-                    *back_chunks.lock() = Some(Self::encode_raw(&dins));
+                    *back_chunks.lock() = Some(Self::encode_chunk(&NoCompression, &dins));
                 }),
             });
         }
-        // S2: per-peer input-grad send back to its source on the backward
-        // return lane, as soon as that source's C2b is encoded.
-        for &j in &others {
-            let back_chunks = &back_chunks[j];
-            let handle = &handle;
-            let error = &error;
-            let cancel = &cancel;
-            tasks.push(ExecTask {
-                worker: Worker::Comm,
-                deps: vec![t0 + 3 * j + 2],
-                span: None,
-                run: Box::new(move || {
-                    let Some(chunk) = back_chunks.lock().take() else {
-                        return;
-                    };
-                    let _s = obs::span_sized("a2a", format!("A2b[p{j}]"), chunk.len() as f64);
-                    let tag = chunk_tag(tag_base, lanes::LANE_BWD_RETURN, j);
-                    if let Err(e) = handle.lock().send(j, tag, chunk) {
-                        error.lock().get_or_insert(e);
-                        cancel.store(true, Ordering::Release);
-                    }
-                }),
-            });
+        // S2 / R2: the return leg, back from the servers.
+        for j in peers(false, true) {
+            tasks.push(Self::send_task(
+                shared,
+                &back_chunks[j],
+                c2b[j],
+                return_tag(j),
+                j,
+                "A2b",
+            ));
         }
-        // R2: per-peer returned input grads, owners ascending, after every
-        // send (same no-deadlock argument as R1).
-        for &j in &others {
-            let ret_recv = &ret_recv[j];
-            let handle = &handle;
-            let error = &error;
-            let cancel = &cancel;
-            tasks.push(ExecTask {
-                worker: Worker::Comm,
-                deps: vec![],
-                span: Some(("a2a", format!("A2bw[p{j}]"))),
-                run: Box::new(move || {
-                    if error.lock().is_some() {
-                        return;
-                    }
-                    let tag = chunk_tag(tag_base, lanes::LANE_BWD_RETURN, me);
-                    let result = {
-                        let mut hh = handle.lock();
-                        match timeout {
-                            Some(t) => hh.recv_timeout(j, tag, t),
-                            None => hh.recv(j, tag),
-                        }
-                    };
-                    match result {
-                        Ok(got) => *ret_recv.lock() = Some(got),
-                        Err(e) => {
-                            error.lock().get_or_insert(e);
-                            cancel.store(true, Ordering::Release);
-                        }
-                    }
-                }),
-            });
+        let mut r2 = vec![None; p];
+        for j in peers(false, false) {
+            r2[j] = Some(tasks.len());
+            tasks.push(Self::recv_task(
+                shared,
+                &ret_recv[j],
+                j,
+                return_tag(me),
+                timeout,
+                "A2bw",
+            ));
         }
-        // D2b: per-owner input-grad decode.
+        // D2b: per-server input-grad decode; a server that returned
+        // nothing served this rank nothing.
         for j in 0..p {
-            let is_dead = dead.contains(&j);
-            let d2b_deps = if j == me {
-                vec![t0 + 3 * j + 2]
-            } else if is_dead {
-                vec![]
+            let (deps, inbox) = if j == me {
+                (Some(c2b[me]), &back_chunks[me])
             } else {
-                vec![t0 + 3 * p + q + pos(j)]
+                (r2[j], &ret_recv[j])
             };
-            let src_box = if j == me {
-                &back_chunks[j]
-            } else {
-                &ret_recv[j]
-            };
+            let talks = deps.is_some();
+            let experts = route.served[j].len();
             let dins_decoded = &dins_decoded[j];
+            let (error, cancel) = (&error, &cancel);
             tasks.push(ExecTask {
                 worker: Worker::Compute,
-                deps: d2b_deps,
+                deps: deps.into_iter().collect(),
                 span: None,
                 run: Box::new(move || {
-                    let decoded = if is_dead {
-                        // The masked gate routed no slots to a dead owner's
-                        // experts, so its contribution is zero rows.
-                        vec![Tensor::zeros(&[0, m]); epr]
-                    } else {
-                        let Some(ch) = src_box.lock().take() else {
-                            return;
-                        };
-                        let _s = obs::span_sized("decode", format!("D2b[o{j}]"), ch.len() as f64);
-                        Self::decode_raw(&ch, epr, m)
+                    if !talks {
+                        *dins_decoded.lock() = Some(vec![Tensor::zeros(&[0, m]); experts]);
+                        return;
+                    }
+                    let Some(ch) = inbox.lock().take() else {
+                        return;
                     };
-                    *dins_decoded.lock() = Some(decoded);
+                    let _s = obs::span_sized("decode", format!("D2b[o{j}]"), ch.len() as f64);
+                    match Self::decode_chunk(&NoCompression, &ch, experts, m, j, return_tag(me)) {
+                        Ok(decoded) => *dins_decoded.lock() = Some(decoded),
+                        Err(e) => fail(error, cancel, e),
+                    }
                 }),
             });
         }
         let exec_result = run_overlapped_cancellable(tasks, &cancel);
-        if let Some(e) = error.into_inner() {
-            return Err(e);
-        }
-        if let Err(e) = exec_result {
-            return Err(FabricError::Worker {
-                detail: e.to_string(),
-            });
-        }
-        let dins_decoded: Vec<Vec<Tensor>> = dins_decoded
+        pipeline_outcome(error, exec_result)?;
+        let dins: Vec<Vec<Tensor>> = dins_decoded
             .into_iter()
             .map(|mx| mx.into_inner().expect("pipeline completed"))
             .collect();
         let d_weights = d_weights_box.into_inner().expect("pipeline completed");
+        self.finish_backward(&cache, &dins, &d_weights, m, return_tag(me))
+    }
 
-        // Scatter, exactly as the serial loop: each owner returned its
-        // full slot-order rows in one piece, accumulated owner-major.
-        let mut dx = Tensor::zeros(&[n, m]);
-        for owner in 0..p {
-            for (le, rows) in dins_decoded[owner].iter().enumerate() {
-                let e = owner * epr + le;
-                let slots = &cache.decision.expert_slots[e];
-                assert_eq!(rows.dims()[0], slots.len(), "input-grad framing mismatch");
-                for (s, &(t, _)) in slots.iter().enumerate() {
-                    let drow = rows.row(s);
-                    let xrow = dx.row_mut(t);
-                    for i in 0..m {
-                        xrow[i] += drow[i];
-                    }
+    /// A pipelined-backward send as a comm-worker task: ships `outbox` to
+    /// `peer` on `tag` once task `dep` filled it.
+    fn send_task<'a, 'h: 'a>(
+        (handle, error, cancel): Shared<'a, 'h>,
+        outbox: &'a Mutex<Option<Bytes>>,
+        dep: usize,
+        tag: u64,
+        peer: usize,
+        stem: &str,
+    ) -> ExecTask<'a> {
+        let name = format!("{stem}[p{peer}]");
+        ExecTask {
+            worker: Worker::Comm,
+            deps: vec![dep],
+            span: None,
+            run: Box::new(move || {
+                let Some(chunk) = outbox.lock().take() else {
+                    return;
+                };
+                let _s = obs::span_sized("a2a", name, chunk.len() as f64);
+                if let Err(e) = handle.lock().send(peer, tag, chunk) {
+                    fail(error, cancel, e);
                 }
-            }
+            }),
         }
-        let dx_gate = {
-            let _g = obs::span("gate", "gateb");
-            self.gate.backward(&d_weights)
-        };
-        dx.add_assign(&dx_gate).expect("same shape");
-        Ok(dx)
+    }
+
+    /// A pipelined-backward receive as a comm-worker task: waits for
+    /// `peer`'s message on `tag` (deadline-aware) into `inbox`.
+    fn recv_task<'a, 'h: 'a>(
+        (handle, error, cancel): Shared<'a, 'h>,
+        inbox: &'a Mutex<Option<Bytes>>,
+        peer: usize,
+        tag: u64,
+        timeout: Option<Duration>,
+        stem: &str,
+    ) -> ExecTask<'a> {
+        ExecTask {
+            worker: Worker::Comm,
+            deps: vec![],
+            span: Some(("a2a", format!("{stem}[p{peer}]"))),
+            run: Box::new(move || {
+                if error.lock().is_some() {
+                    return;
+                }
+                let result = {
+                    let mut h = handle.lock();
+                    match timeout {
+                        Some(t) => h.recv_timeout(peer, tag, t),
+                        None => h.recv(peer, tag),
+                    }
+                };
+                match result {
+                    Ok(got) => *inbox.lock() = Some(got),
+                    Err(e) => fail(error, cancel, e),
+                }
+            }),
+        }
     }
 
     /// Visits the gate's and local experts' parameters.
@@ -2729,7 +1976,7 @@ mod tests {
     use crate::expert::FfExpert;
     use crate::layer::MoeLayer;
     use schemoe_cluster::{Fabric, Topology};
-    use schemoe_collectives::NcclA2A;
+    use schemoe_collectives::{NcclA2A, TAG_STRIDE};
     use schemoe_compression::NoCompression;
     use schemoe_tensor::nn::Module;
     use schemoe_tensor::rng::{self, seeded};
@@ -3713,5 +2960,175 @@ mod tests {
         // Expert 1 migrated onto rank 0 without a guest body installed.
         let pl = Placement::new(1, 1, vec![vec![0], vec![0]]);
         layer.set_placement(0, pl);
+    }
+
+    /// A channel endpoint that logs the tag of every message it sends.
+    struct TagLog {
+        inner: schemoe_cluster::transport::ChannelTransport,
+        sent: std::sync::Arc<Mutex<Vec<u64>>>,
+    }
+
+    impl schemoe_cluster::Transport for TagLog {
+        fn world_size(&self) -> usize {
+            self.inner.world_size()
+        }
+        fn send_raw(
+            &self,
+            to: usize,
+            tag: u64,
+            payload: Bytes,
+        ) -> Result<(), schemoe_cluster::transport::LinkClosed> {
+            self.sent.lock().push(tag);
+            self.inner.send_raw(to, tag, payload)
+        }
+        fn recv_raw(
+            &self,
+            from: usize,
+            timeout: Option<Duration>,
+        ) -> Result<(u64, Bytes), schemoe_cluster::transport::RawRecvError> {
+            self.inner.recv_raw(from, timeout)
+        }
+        fn barrier(&self) {
+            self.inner.barrier();
+        }
+        fn post_death(&self, rank: usize) {
+            self.inner.post_death(rank);
+        }
+        fn peer_dead(&self, rank: usize) -> bool {
+            self.inner.peer_dead(rank)
+        }
+        fn clear_death(&self, rank: usize) {
+            self.inner.clear_death(rank);
+        }
+        fn always_framed(&self) -> bool {
+            self.inner.always_framed()
+        }
+        fn reconnectable(&self) -> bool {
+            self.inner.reconnectable()
+        }
+    }
+
+    #[test]
+    fn a_non_static_placement_runs_the_pipelined_schedule() {
+        // Expert 0 replicated on ranks {0, 2}, expert 3 migrated to rank 1,
+        // at r = 2: both forward exchanges must run per chunk (chunk 1's
+        // dispatch and combine tags carry traffic), and the output must
+        // still match the serial step bit for bit.
+        let topo = Topology::new(2, 2);
+        let p = topo.world_size();
+        let n_local = 7;
+        let x_global = rng::uniform(&[n_local * p, M], 1.0, &mut seeded(95));
+        let servers = vec![vec![0usize, 2], vec![1], vec![2], vec![1]];
+        let run = |degree: usize| {
+            let sent = std::sync::Arc::new(Mutex::new(Vec::new()));
+            let endpoints = schemoe_cluster::transport::channel::mesh(p);
+            let outs: Vec<Tensor> = std::thread::scope(|s| {
+                let ranks: Vec<_> = endpoints
+                    .into_iter()
+                    .enumerate()
+                    .map(|(me, inner)| {
+                        let sent = std::sync::Arc::clone(&sent);
+                        let (servers, x_global) = (&servers, &x_global);
+                        s.spawn(move || {
+                            let log = Box::new(TagLog { inner, sent });
+                            let mut h = RankHandle::attach(topo, me, log, None);
+                            let mut layer = DistributedMoeLayer::new(
+                                make_gate(p, 2, 8.0),
+                                vec![make_expert(me)],
+                                Box::new(NoCompression),
+                                Box::new(NcclA2A),
+                            )
+                            .with_partition_degree(degree)
+                            .with_recv_timeout(Duration::from_secs(30));
+                            let pl = Placement::new(1, 1, servers.clone());
+                            for &e in &pl.guests_of(me) {
+                                layer.install_guest_expert(me, e, make_expert(e));
+                            }
+                            layer.set_placement(me, pl);
+                            let mut x = Tensor::zeros(&[n_local, M]);
+                            for r in 0..n_local {
+                                x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
+                            }
+                            layer.forward(&mut h, &x, 0).unwrap()
+                        })
+                    })
+                    .collect();
+                ranks.into_iter().map(|j| j.join().unwrap()).collect()
+            });
+            let tags = sent.lock().clone();
+            (outs, tags)
+        };
+        let (serial, _) = run(1);
+        let (piped, tags) = run(2);
+        for lane in [lanes::LANE_DISPATCH, lanes::LANE_COMBINE] {
+            for c in 0..2 {
+                assert!(
+                    tags.contains(&chunk_tag(0, lane, c)),
+                    "no traffic on chunk {c} of lane {lane}: placement did not pipeline"
+                );
+            }
+        }
+        for me in 0..p {
+            let diff = piped[me].max_abs_diff(&serial[me]).unwrap();
+            assert_eq!(
+                diff, 0.0,
+                "rank {me} pipelined placement diverged by {diff}"
+            );
+        }
+    }
+
+    #[test]
+    fn decoding_hostile_chunks_never_panics() {
+        // Truncation at every length, a bit flip at every position, and
+        // random bytes, under every codec: the decoder returns a typed
+        // error or exactly the requested row blocks — never a panic, and
+        // never an allocation the bytes could not back.
+        use rand::Rng;
+        use schemoe_compression::{Fp16Compressor, Int8Compressor, ZfpCompressor};
+        let codecs: Vec<Box<dyn Compressor>> = vec![
+            Box::new(NoCompression),
+            Box::new(Fp16Compressor),
+            Box::new(Int8Compressor),
+            Box::new(ZfpCompressor::default()),
+        ];
+        let blocks = vec![
+            rng::uniform(&[3, M], 1.0, &mut seeded(96)),
+            Tensor::zeros(&[0, M]),
+            rng::uniform(&[2, M], 1.0, &mut seeded(97)),
+        ];
+        let corrupt = FabricError::Corrupt { peer: 1, tag: 7 };
+        let mut noise = seeded(98);
+        for codec in &codecs {
+            let codec = codec.as_ref();
+            let decode = |bytes: &[u8]| DistributedMoeLayer::decode_chunk(codec, bytes, 3, M, 1, 7);
+            let check = |bytes: &[u8]| match decode(bytes) {
+                Ok(got) => {
+                    assert_eq!(got.len(), 3, "{}: wrong block count", codec.name());
+                    assert!(got.iter().all(|b| b.dims()[1] == M));
+                }
+                Err(e) => assert_eq!(e, corrupt, "{}: untyped failure", codec.name()),
+            };
+            let chunk = DistributedMoeLayer::encode_chunk(codec, &blocks);
+            let intact = decode(&chunk).unwrap();
+            let rows: Vec<usize> = intact.iter().map(|b| b.dims()[0]).collect();
+            assert_eq!(rows, vec![3, 0, 2], "{}", codec.name());
+            for len in 0..chunk.len() {
+                assert!(
+                    decode(&chunk[..len]).is_err(),
+                    "{}: truncation to {len}",
+                    codec.name()
+                );
+            }
+            for bit in 0..chunk.len() * 8 {
+                let mut bad = chunk.to_vec();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                check(&bad);
+            }
+            for _ in 0..256 {
+                let len = noise.gen_range(0..64);
+                let bytes: Vec<u8> = (0..len).map(|_| noise.gen_range(0..256u32) as u8).collect();
+                check(&bytes);
+            }
+        }
     }
 }

@@ -155,6 +155,13 @@ impl Placement {
         self.servers[e].contains(&rank)
     }
 
+    /// Replaces expert `e`'s server list. Unlike [`new`](Self::new) this
+    /// accepts an empty list: the layer's routing table marks an expert
+    /// with no live server that way, and the gate masks it out.
+    pub(crate) fn set_servers(&mut self, e: usize, servers: Vec<usize>) {
+        self.servers[e] = servers;
+    }
+
     /// Experts served by `rank`, ascending.
     pub fn served_by(&self, rank: usize) -> Vec<usize> {
         (0..self.servers.len())
@@ -217,7 +224,10 @@ impl Placement {
     }
 
     /// Parses a sealed `PLMT` frame. Parse-then-verify: structure and CRC
-    /// must both pass before anything is returned.
+    /// must both pass before anything is returned. The table must describe
+    /// a whole world (`n_experts` a multiple of `experts_per_rank`) and name
+    /// only ranks inside it, so a sealed frame can never route to a rank
+    /// that does not exist.
     pub fn decode(frame: &[u8]) -> Result<Self, PlacementError> {
         let mut cur = Cursor::new(frame, PLACEMENT_MAGIC)?;
         let version = cur.u64()?;
@@ -229,6 +239,12 @@ impl Placement {
         if n > MAX_EXPERTS {
             return Err(PlacementError::Malformed("absurd expert count"));
         }
+        if !n.is_multiple_of(epr) {
+            return Err(PlacementError::Malformed(
+                "expert count not a multiple of epr",
+            ));
+        }
+        let world = n / epr;
         let mut servers = Vec::with_capacity(n);
         for _ in 0..n {
             let cnt = cur.u32()? as usize;
@@ -237,7 +253,11 @@ impl Placement {
             }
             let mut s = Vec::with_capacity(cnt);
             for _ in 0..cnt {
-                s.push(cur.u32()? as usize);
+                let r = cur.u32()? as usize;
+                if r >= world {
+                    return Err(PlacementError::Malformed("server outside the world"));
+                }
+                s.push(r);
             }
             if s.iter().collect::<BTreeSet<_>>().len() != s.len() {
                 return Err(PlacementError::Malformed("duplicate server"));
@@ -724,6 +744,28 @@ mod tests {
     }
 
     #[test]
+    fn sealed_tables_naming_ranks_outside_the_world_are_rejected() {
+        // 4 experts at 2 per rank make a 2-rank world: rank 2 is outside
+        // it, however valid the seal.
+        let outside = Placement::new(2, 1, vec![vec![0], vec![0], vec![1], vec![2]]);
+        assert!(matches!(
+            Placement::decode(&outside.encode()),
+            Err(PlacementError::Malformed(_))
+        ));
+        let plan = PlacementPlan {
+            placement: outside,
+            capacity_override: None,
+        };
+        assert!(PlacementPlan::decode(&plan.encode()).is_err());
+        // An expert count that is not a whole number of ranks.
+        let ragged = Placement::new(2, 1, vec![vec![0], vec![0], vec![1]]);
+        assert!(matches!(
+            Placement::decode(&ragged.encode()),
+            Err(PlacementError::Malformed(_))
+        ));
+    }
+
+    #[test]
     fn plan_frames_carry_the_override_bit_exactly() {
         for cap in [None, Some(1.25f64), Some(0.5)] {
             let plan = PlacementPlan {
@@ -894,18 +936,22 @@ mod tests {
         #[test]
         fn placement_codec_round_trips_and_rejects_corruption(
             epr in 1usize..4,
+            world in 1usize..9,
             tables in proptest::collection::vec(
                 proptest::collection::vec(0usize..8, 1..4),
-                1..12,
+                24,
             ),
             corrupt_at in 0usize..4096,
             flip in 1u8..=255,
         ) {
+            // A whole world's table: `world × epr` experts, ranks below
+            // `world` (decode rejects anything else).
             let servers: Vec<Vec<usize>> = tables
                 .into_iter()
+                .take(world * epr)
                 .map(|t| {
                     let mut seen = BTreeSet::new();
-                    t.into_iter().filter(|&r| seen.insert(r)).collect()
+                    t.into_iter().map(|r| r % world).filter(|&r| seen.insert(r)).collect()
                 })
                 .collect();
             let p = Placement::new(epr, 42, servers);
